@@ -48,6 +48,15 @@ void RetainedIrCache::put(const Digest &Key, RetainedModule M) {
   lcm::Stats::bump("cache.retained.insertions");
 }
 
+bool RetainedIrCache::touch(const Digest &Key) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Index.find(Key);
+  if (It == Index.end())
+    return false;
+  Lru.splice(Lru.begin(), Lru, It->second);
+  return true;
+}
+
 RetainedIrCache::Stats RetainedIrCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   Stats S = Counters;

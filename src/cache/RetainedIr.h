@@ -91,6 +91,11 @@ public:
   /// budget holds.  Over-budget singletons are not admitted.
   void put(const Digest &Key, RetainedModule M);
 
+  /// Marks \p Key most-recently-used without copying it out.  False when
+  /// the tier does not hold it: the caller then builds the record and
+  /// put()s it, so a key is written once however often it is served.
+  bool touch(const Digest &Key);
+
   Stats stats() const;
   size_t maxBytes() const { return MaxBytes; }
 

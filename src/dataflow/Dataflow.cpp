@@ -260,23 +260,16 @@ private:
   size_t Cursor = 0;
 };
 
-/// The sparse solve, writing into caller-owned (reused) result rows.  When
-/// \p Prev and \p Dirty are both set, runs warm-started: facts outside the
-/// dirty cone are copied from the previous fixpoint and only cone blocks
-/// are seeded (see solveGenKillSparseWarmInto's contract in the header).
-void solveGenKillSparseImpl(const Function &Fn, Direction Dir, Meet M,
+/// The sparse solve, writing into caller-owned (reused) result rows.
+void solveGenKillSparseInto(const Function &Fn, Direction Dir, Meet M,
                             const std::vector<GenKill> &Transfers,
-                            const BitVector &Boundary,
-                            const DataflowResult *Prev,
-                            const std::vector<BlockId> *Dirty,
-                            DataflowResult &R) {
+                            const BitVector &Boundary, DataflowResult &R) {
   assert(Transfers.size() >= Fn.numBlocks() && "one transfer per block");
   const size_t Universe = Boundary.size();
   const size_t NumBlocks = Fn.numBlocks();
   const size_t WPR = bitwords::wordsFor(Universe);
   const uint64_t OpsBefore = BitVectorOps::snapshot();
   const uint64_t SimdOpsBefore = BitVectorOps::snapshotSimd();
-  const bool Warm = Prev != nullptr && Dirty != nullptr;
 
   // Per-thread scratch, reused across solves: after the first solve of the
   // largest problem size, everything below is a pointer/length reset.
@@ -285,71 +278,24 @@ void solveGenKillSparseImpl(const Function &Fn, Direction Dir, Meet M,
   thread_local std::vector<uint32_t> Prio;
   thread_local PriorityWorklist WL;
   thread_local std::vector<const uint64_t *> MeetPtrs;
-  thread_local std::vector<uint8_t> InCone;
-  thread_local std::vector<BlockId> ConeStack;
 
   Arena.begin(2 * NumBlocks * WPR);
   BitMatrix In = Arena.allocMatrix(NumBlocks, Universe);
   BitMatrix Out = Arena.allocMatrix(NumBlocks, Universe);
 
   const bool Neutral = (M == Meet::Intersection);
-  const bool Fwd0 = (Dir == Direction::Forward);
-  const BlockId BoundaryBlock = Fwd0 ? Fn.entry() : Fn.exit();
+  const bool Fwd = (Dir == Direction::Forward);
+  const BlockId BoundaryBlock = Fwd ? Fn.entry() : Fn.exit();
 
-  if (Warm) {
-    // Dirty cone: closure of the dirty blocks along the dependence
-    // direction (successors for forward problems, predecessors for
-    // backward).  Every block outside the cone then takes all its meet
-    // inputs from other outside-cone blocks, so its previous fact is
-    // already the restriction of the new fixpoint and can be kept.
-    InCone.assign(NumBlocks, 0);
-    ConeStack.clear();
-    auto markDirty = [&](BlockId B) {
-      if (B < NumBlocks && !InCone[B]) {
-        InCone[B] = 1;
-        ConeStack.push_back(B);
-      }
-    };
-    for (BlockId B : *Dirty)
-      markDirty(B);
-    // A changed boundary fact invalidates the boundary block even when the
-    // caller only reported edited interior blocks.
-    const BitVector &PrevBoundary =
-        Fwd0 ? (*Prev).In[BoundaryBlock] : (*Prev).Out[BoundaryBlock];
-    if (!(PrevBoundary == Boundary))
-      markDirty(BoundaryBlock);
-    while (!ConeStack.empty()) {
-      const BlockId B = ConeStack.back();
-      ConeStack.pop_back();
-      const auto &Outs = Fwd0 ? Fn.block(B).succs() : Fn.block(B).preds();
-      for (BlockId Nb : Outs)
-        markDirty(Nb);
-    }
-    // Cone rows restart from the neutral element (a cold solve's
-    // initialization); the rest seed from the previous fixpoint.
-    size_t ConeBlocks = 0;
-    for (size_t B = 0; B != NumBlocks; ++B) {
-      if (InCone[B]) {
-        ++ConeBlocks;
-        In.row(BlockId(B)).fillNeutral(Neutral);
-        Out.row(BlockId(B)).fillNeutral(Neutral);
-      } else {
-        In.row(BlockId(B)).copyFrom(Prev->In[B]);
-        Out.row(BlockId(B)).copyFrom(Prev->Out[B]);
-      }
-    }
-    Stats::bump("dataflow.warm.cone_blocks", ConeBlocks);
-  } else {
-    In.fillNeutral(Neutral);
-    Out.fillNeutral(Neutral);
-  }
+  In.fillNeutral(Neutral);
+  Out.fillNeutral(Neutral);
 
-  if (Fwd0)
+  if (Fwd)
     reversePostOrderInto(Fn, Order);
   else
     postOrderInto(Fn, Order);
   orderIndexInto(Fn, Order, Prio);
-  if (Fwd0)
+  if (Fwd)
     In.row(BoundaryBlock).copyFrom(Boundary);
   else
     Out.row(BoundaryBlock).copyFrom(Boundary);
@@ -357,19 +303,10 @@ void solveGenKillSparseImpl(const Function &Fn, Direction Dir, Meet M,
   R.Stats = SolverStats{};
 
   WL.reset(Order.size());
-  if (Warm) {
-    // Seed only the cone; outside-cone blocks already hold fixpoint facts
-    // and are never pushed (the cone is closed under the push direction).
-    for (size_t P = 0; P != Order.size(); ++P)
-      if (InCone[Order[P]])
-        WL.push(P);
-  } else {
-    // Seed every reachable block, in priority order; unreachable blocks
-    // keep the neutral initialization, matching the dense solvers.
-    WL.seedAll();
-  }
+  // Seed every reachable block, in priority order; unreachable blocks keep
+  // the neutral initialization, matching the dense solvers.
+  WL.seedAll();
 
-  const bool Fwd = (Dir == Direction::Forward);
   const bool Intersect = (M == Meet::Intersection);
   BitMatrix &Src = Fwd ? Out : In;  // transfer writes these rows
   BitMatrix &Dst = Fwd ? In : Out;  // meet recomputed into these rows
@@ -431,20 +368,11 @@ void solveGenKillSparseImpl(const Function &Fn, Direction Dir, Meet M,
   R.Stats.WordOps = BitVectorOps::snapshot() - OpsBefore;
   Stats::bump("dataflow.solves");
   Stats::bump("dataflow.sparse.solves");
-  if (Warm)
-    Stats::bump("dataflow.warm.solves");
   Stats::bump("dataflow.node_visits", R.Stats.NodeVisits);
   Stats::bump("dataflow.word_ops", R.Stats.WordOps);
   const uint64_t SimdOps = BitVectorOps::snapshotSimd() - SimdOpsBefore;
   Stats::bump("dataflow.word_ops_simd", SimdOps);
   Stats::bump("dataflow.word_ops_scalar", R.Stats.WordOps - SimdOps);
-}
-
-void solveGenKillSparseInto(const Function &Fn, Direction Dir, Meet M,
-                            const std::vector<GenKill> &Transfers,
-                            const BitVector &Boundary, DataflowResult &R) {
-  solveGenKillSparseImpl(Fn, Dir, M, Transfers, Boundary, nullptr, nullptr,
-                         R);
 }
 
 } // namespace
@@ -456,28 +384,6 @@ DataflowResult lcm::solveGenKillSparse(const Function &Fn, Direction Dir,
   DataflowResult R;
   solveGenKillSparseInto(Fn, Dir, M, Transfers, Boundary, R);
   return R;
-}
-
-void lcm::solveGenKillSparseWarmInto(const Function &Fn, Direction Dir,
-                                     Meet M,
-                                     const std::vector<GenKill> &Transfers,
-                                     const BitVector &Boundary,
-                                     const DataflowResult &Prev,
-                                     const std::vector<BlockId> &DirtyBlocks,
-                                     DataflowResult &R) {
-  // A previous fixpoint of a different shape (block count or universe)
-  // cannot seed this problem; fall back to the cold sparse solve.
-  const bool ShapeOk =
-      Prev.In.size() == Fn.numBlocks() && Prev.Out.size() == Fn.numBlocks() &&
-      (Fn.numBlocks() == 0 || (Prev.In[0].size() == Boundary.size() &&
-                               Prev.Out[0].size() == Boundary.size()));
-  if (!ShapeOk) {
-    Stats::bump("dataflow.warm.fallbacks");
-    solveGenKillSparseInto(Fn, Dir, M, Transfers, Boundary, R);
-    return;
-  }
-  solveGenKillSparseImpl(Fn, Dir, M, Transfers, Boundary, &Prev,
-                         &DirtyBlocks, R);
 }
 
 DataflowResult lcm::solveGenKill(const Function &Fn, Direction Dir, Meet M,

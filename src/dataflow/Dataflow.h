@@ -120,34 +120,6 @@ DataflowResult solveGenKill(const Function &Fn, Direction Dir, Meet M,
                             const std::vector<GenKill> &Transfers,
                             const BitVector &Boundary, SolverStrategy S);
 
-/// Warm-start variant of the sparse solver for incremental re-solves: seeds
-/// the iteration from a previous fixpoint \p Prev instead of the neutral
-/// element, resets only the *dirty cone* — every block reachable from
-/// \p DirtyBlocks along the dependence direction (successors for forward
-/// problems, predecessors for backward ones) — and re-runs change-detection
-/// to quiescence over that cone.
-///
-/// Soundness hinges on the cone being closed under the dependence
-/// direction: a block outside the cone takes every meet input from other
-/// outside-cone blocks, so the outside-cone subsystem is input-closed and
-/// its previous facts are already the restriction of the new fixpoint.
-/// Inside the cone, facts restart from the meet's neutral element (the same
-/// initialization a cold solve uses), so the result is bit-identical to
-/// solving from scratch — pinned by tests/incremental_dataflow_test.cpp
-/// against all three cold strategies.
-///
-/// Caller contract: \p DirtyBlocks must contain every block whose Gen/Kill
-/// transfer changed and every block with an added or removed input edge in
-/// the dependence direction.  A \p Prev whose shape does not match (block
-/// count or bit-universe) falls back to a cold sparse solve; a changed
-/// \p Boundary fact is detected internally and dirties the boundary block.
-void solveGenKillSparseWarmInto(const Function &Fn, Direction Dir, Meet M,
-                                const std::vector<GenKill> &Transfers,
-                                const BitVector &Boundary,
-                                const DataflowResult &Prev,
-                                const std::vector<BlockId> &DirtyBlocks,
-                                DataflowResult &R);
-
 /// Reuse form of the dispatching solveGenKill: writes the fixpoint into a
 /// caller-owned result whose row storage is recycled across solves.  With
 /// SolverStrategy::Sparse the entire solve — including materializing R —

@@ -273,293 +273,30 @@ DeltaFail resolveDelta(const ServiceConfig &Config, const Request &R,
   return DeltaFail::None;
 }
 
-/// Module and delta requests: per-function memoization over the result
-/// cache, with delta inputs materialized from the retained tier.  An
-/// untouched function of an applied delta is answered straight from its
-/// retained key — no re-parse, no re-hash, no pipeline — which is where
-/// the edit-loop speedup comes from (bench/perf_editloop.cpp).
-/// Validation runs inline here; the validator-pool deferral carries
-/// exactly one function and stays on the single-function path.
-Value handleModuleOrDelta(const ServiceConfig &Config, const Request &R,
-                          Trace::Scope &T, const CancelToken *Deadline,
-                          Clock::time_point Start) {
-  const bool IsDelta = !R.BaseKey.empty();
-  Stats::bump(IsDelta ? "server.delta_requests" : "server.module_requests");
+/// One function a request serves, in answer order.
+struct ServedFn {
+  /// Its input text: a function of the request's `ir`, or of a delta's
+  /// patched base.
+  std::string_view Text;
+  /// The retained key of a delta function the patch left untouched.
+  const cache::Digest *Known = nullptr;
+  /// The name it answers under: its parse's, or its base record's.
+  const std::string *Name = nullptr;
+  cache::Digest Key;
+  bool Cached = false;
+  cache::CacheEntry E;
+};
 
-  if (R.WantReport || !R.Profile.isNull()) {
-    T.note("status", "bad_request");
-    return finish(makeErrorResponse(
-        R.Id, Status::BadRequest,
-        std::string(R.WantReport ? "'report'" : "'profile'") +
-            " is not supported for module/delta requests"));
-  }
-
-  PipelineParse Spec = parsePipeline(R.Pipeline);
-  if (!Spec) {
-    T.note("status", "bad_request");
-    return finish(makeErrorResponse(R.Id, Status::BadRequest, Spec.Error));
-  }
-
-  cache::PipelineFingerprint FP;
-  for (size_t I = 0, N = Spec.P.size(); I != N; ++I) {
-    if (I)
-      FP.Pipeline += ',';
-    FP.Pipeline += Spec.P.stepName(I);
-  }
-  FP.Limits = Config.Limits;
-  FP.Check = R.Check;
-  FP.CheckRuns = R.Check ? Config.CheckRuns : 0;
-  const cache::Digest FPD = FP.digest();
-
-  cache::RetainedModule Base;
-  std::vector<uint8_t> DirtyFn;
-  std::string DeltaStatus, DeltaReason;
-  bool UseBase = false;
-  if (IsDelta) {
-    const DeltaFail F =
-        resolveDelta(Config, R, FPD, Base, DirtyFn, DeltaReason);
-    if (F == DeltaFail::None) {
-      UseBase = true;
-      DeltaStatus = "applied";
-      Stats::bump("server.delta_applied");
-    } else if (!R.Ir.empty()) {
-      // The request carried its full text: optimize that instead, and say
-      // so — the client learns its base is gone and re-anchors.
-      DeltaStatus = "fallback";
-      Stats::bump("server.delta_fallbacks");
-    } else {
-      const Status S =
-          F == DeltaFail::Miss ? Status::BaseMiss : Status::BadRequest;
-      T.note("status", statusName(S));
-      return finish(makeErrorResponse(R.Id, S, DeltaReason));
-    }
-  }
-
-  struct FnInput {
-    std::string_view Text;
-    const cache::Digest *Known = nullptr;
-    const std::string *NameHint = nullptr;
-  };
-  std::vector<FnInput> Inputs;
-  std::vector<std::string_view> Chunks;
-  if (UseBase) {
-    for (size_t I = 0; I != Base.Functions.size(); ++I) {
-      FnInput FI;
-      FI.Text = Base.Functions[I].Text;
-      if (!DirtyFn[I])
-        FI.Known = &Base.Functions[I].Key;
-      FI.NameHint = &Base.Functions[I].Name;
-      Inputs.push_back(FI);
-    }
-  } else {
-    splitModuleInto(R.Ir, Chunks);
-    for (std::string_view C : Chunks)
-      Inputs.push_back(FnInput{C, nullptr, nullptr});
-  }
-
-  struct FnOutcome {
-    std::string Name;
-    cache::Digest Key;
-    bool Cached = false;
-    cache::CacheEntry E;
-    /// Canonical *input* text — the next retained record and the
-    /// validation baseline.
-    std::string CanonText;
-  };
-  std::vector<FnOutcome> Outs;
-  Outs.reserve(Inputs.size());
-
-  thread_local ParserScratch Scratch;
-  thread_local ParseResult Ir;
-  for (size_t I = 0; I != Inputs.size(); ++I) {
-    const FnInput &FI = Inputs[I];
-    FnOutcome O;
-    if (FI.Known && Config.Cache && Config.Cache->get(*FI.Known, O.E)) {
-      // Untouched function of an applied delta: answered by its retained
-      // key alone.
-      O.Name = FI.NameHint ? *FI.NameHint : std::string();
-      O.Key = *FI.Known;
-      O.Cached = true;
-      O.CanonText.assign(FI.Text);
-      Stats::bump("server.delta_fn_reused");
-      Outs.push_back(std::move(O));
-      continue;
-    }
-    parseFunctionInto(FI.Text, Config.Limits, Scratch, Ir);
-    if (!Ir) {
-      const Status S = Ir.OverLimit ? Status::Limits : Status::ParseError;
-      T.note("status", statusName(S));
-      return finish(makeErrorResponse(
-          R.Id, S, "function " + std::to_string(I) + ": " + Ir.Error));
-    }
-    Function &Fn = Ir.Fn;
-    std::vector<std::string> Errors = verifyFunction(Fn);
-    if (!Errors.empty()) {
-      T.note("status", "verify_error");
-      return finish(makeErrorResponse(R.Id, Status::VerifyError,
-                                      "function " + std::to_string(I) +
-                                          " ('" + Fn.name() +
-                                          "'): " + Errors.front()));
-    }
-    O.Name = Fn.name();
-    O.Key = FI.Known ? *FI.Known : cache::requestKey(Fn, FP);
-    printFunction(Fn, O.CanonText);
-
-    auto Compute = [&]() -> cache::SingleFlight::Result {
-      Stats::bump("server.pipeline_runs");
-      Function Original = R.Check ? Fn : Function();
-      Pipeline::RunResult Run = Spec.P.run(Fn, Deadline);
-      if (Run.Cancelled)
-        return cache::SingleFlight::Result::cancelled(Run.Error);
-      if (!Run.Ok)
-        return cache::SingleFlight::Result::error(Run.Error,
-                                                  int(Status::PipelineError));
-      if (R.Check) {
-        for (uint64_t Seed = 1; Seed <= Config.CheckRuns; ++Seed) {
-          InterpResult BaseRun = runSeeded(Original, Seed, Original.numVars(),
-                                           uint32_t(Original.numBlocks()));
-          InterpResult After = runSeeded(Fn, Seed, Original.numVars(),
-                                         uint32_t(Original.numBlocks()));
-          if (!sameObservableBehaviour(BaseRun, After, Original.numVars()))
-            return cache::SingleFlight::Result::error(
-                "optimized program diverges from input under seed " +
-                    std::to_string(Seed),
-                int(Status::CheckFailed));
-        }
-      }
-      cache::CacheEntry E;
-      printFunction(Fn, E.Ir);
-      for (const Pipeline::StepResult &S : Run.Steps)
-        E.Changes += S.Changes;
-      E.Checked = R.Check;
-      E.CheckRuns = R.Check ? Config.CheckRuns : 0;
-      return cache::SingleFlight::Result::value(std::move(E));
-    };
-
-    cache::ResultCache::Lookup L;
-    if (Config.Cache) {
-      L = Config.Cache->getOrCompute(O.Key, Deadline, Compute);
-    } else {
-      L.Src = cache::ResultCache::Source::Computed;
-      L.R = Compute();
-    }
-    using RK = cache::SingleFlight::Result::Kind;
-    if (L.R.K == RK::Cancelled) {
-      T.note("status", "deadline_exceeded");
-      return finish(
-          makeErrorResponse(R.Id, Status::DeadlineExceeded, L.R.Error));
-    }
-    if (L.R.K == RK::Error) {
-      const Status S =
-          L.R.Code != 0 ? Status(L.R.Code) : Status::PipelineError;
-      T.note("status", statusName(S));
-      return finish(makeErrorResponse(R.Id, S,
-                                      "function " + std::to_string(I) +
-                                          " ('" + O.Name +
-                                          "'): " + L.R.Error));
-    }
-    O.Cached = L.cached();
-    O.E = std::move(L.R.Entry);
-    Outs.push_back(std::move(O));
-  }
-  Stats::bump("server.module_functions", Outs.size());
-
-  // The module key digests the per-function keys under this fingerprint —
-  // it is the response's cache_key and the retained entry's anchor, so the
-  // client's next delta can name this request as its base.
-  cache::Hasher H;
-  H.update("lcm-module-v1");
-  H.updateU64(FPD.Hi).updateU64(FPD.Lo);
-  for (const FnOutcome &O : Outs)
-    H.updateU64(O.Key.Hi).updateU64(O.Key.Lo);
-  const cache::Digest ModuleKey = H.digest();
-
-  if (R.Validate) {
-    Stats::bump("server.validations");
-    for (const FnOutcome &O : Outs) {
-      ParseResult Orig = parseFunction(O.CanonText, Config.Limits);
-      ParseResult Served = parseFunction(O.E.Ir, Config.Limits);
-      std::string Why;
-      const bool Ok = Orig && Served &&
-                      validateServedIr(Orig.Fn, Served.Fn,
-                                       std::max(1u, Config.CheckRuns), Why);
-      if (!Ok) {
-        if (Why.empty())
-          Why = "function IR unparsable";
-        Stats::bump("server.validation_mismatches");
-        T.note("status", "validation_failed");
-        return finish(makeErrorResponse(R.Id, Status::ValidationFailed,
-                                        "function '" + O.Name +
-                                            "': " + Why));
-      }
-    }
-  }
-
-  bool AllCached = true;
-  uint64_t TotalChanges = 0;
-  std::string IrOut;
-  Value Fns = Value::array();
-  for (const FnOutcome &O : Outs) {
-    AllCached &= O.Cached;
-    TotalChanges += O.E.Changes;
-    IrOut += O.E.Ir;
-    if (!IrOut.empty() && IrOut.back() != '\n')
-      IrOut += '\n';
-    Value FV = Value::object();
-    FV.set("name", Value::str(O.Name));
-    FV.set("cache_key", Value::str(O.Key.hex()));
-    FV.set("cached", Value::boolean(O.Cached));
-    Fns.push(std::move(FV));
-  }
-
-  Value Response = makeResponse(R.Id, Status::Ok);
-  Response.set("ir", Value::str(std::move(IrOut)));
-  Response.set("pipeline", Value::str(R.Pipeline));
-  Response.set("changes", Value::number(TotalChanges));
-  Response.set(
-      "seconds",
-      Value::number(std::chrono::duration<double>(Clock::now() - Start)
-                        .count()));
-  if (R.Check) {
-    Response.set("checked", Value::boolean(true));
-    Response.set("check_runs", Value::number(uint64_t(Config.CheckRuns)));
-  }
-  if (R.Validate)
-    Response.set("validated", Value::boolean(true));
-  Response.set("functions", std::move(Fns));
-  if (Config.Cache) {
-    Response.set("cached", Value::boolean(AllCached));
-    Response.set("cache_key", Value::str(ModuleKey.hex()));
-  }
-  if (IsDelta) {
-    Response.set("delta", Value::str(DeltaStatus));
-    if (DeltaStatus == "fallback" && !DeltaReason.empty())
-      Response.set("delta_reason", Value::str(DeltaReason));
-  }
-  if (R.ServerInfo) {
-    Value Srv = Value::object();
-    Srv.set("kernel_backend", Value::str(simdwords::backendName()));
-    if (Config.ReportWorkers > 0)
-      Srv.set("workers", Value::number(uint64_t(Config.ReportWorkers)));
-    Srv.set("hardware_threads",
-            Value::number(uint64_t(std::thread::hardware_concurrency())));
-    Srv.set("placement_strategy", Value::str("classic"));
-    Response.set("server", std::move(Srv));
-  }
-
-  if (Config.Cache && Config.Retained) {
-    cache::RetainedModule M;
-    M.Fp = FPD;
-    M.Functions.reserve(Outs.size());
-    for (FnOutcome &O : Outs)
-      M.Functions.push_back(
-          {std::move(O.Name), std::move(O.CanonText), O.Key});
-    Config.Retained->put(ModuleKey, std::move(M));
-  }
-
-  T.note("status", "ok");
-  T.note("changes", TotalChanges);
-  return finish(Response);
+/// Prefixes an error about function \p I of an \p N-function request with
+/// its index and name, so a module's client can tell which one failed.
+std::string fnError(size_t I, size_t N, const std::string *Name,
+                    const std::string &Why) {
+  if (N < 2)
+    return Why;
+  std::string Where = "function " + std::to_string(I);
+  if (Name)
+    Where += " ('" + *Name + "')";
+  return Where + ": " + Why;
 }
 
 } // namespace
@@ -575,18 +312,27 @@ Value Service::handle(const std::string &Payload,
 }
 
 Value Service::finishValidation(PendingValidation &&P) const {
-  // Validate the serving path end to end: the reply IR is reparsed from
-  // the entry (cached or fresh) exactly as a client would see it, and
-  // compared against the original under seeded oracles.  A divergence
+  // Validate the serving path end to end: the reply IR is split and
+  // reparsed exactly as a client would see it, and each function is
+  // compared against its original under seeded oracles.  A divergence
   // refuses to serve the IR — the checker, not the optimizer, is the
   // trusted component (Monniaux & Six).
   Trace::Scope T("server.request", "validate");
   Stats::bump("server.validations");
-  ParseResult Served = parseFunction(P.ServedIr, Config.Limits);
+  thread_local std::vector<std::string_view> Served;
+  splitModuleInto(P.ServedIr, Served);
+  const size_t N = P.Originals.size();
   std::string Why;
-  bool ValidOk = Served ? validateServedIr(P.Original, Served.Fn, P.Runs, Why)
-                        : (Why = "served IR unparsable: " + Served.Error,
-                           false);
+  bool ValidOk = Served.size() == N;
+  if (!ValidOk)
+    Why = "served IR does not hold " + std::to_string(N) + " functions";
+  for (size_t I = 0; ValidOk && I != N; ++I) {
+    ParseResult S = parseFunction(Served[I], Config.Limits);
+    ValidOk = S ? validateServedIr(P.Originals[I], S.Fn, P.Runs, Why)
+                : (Why = "served IR unparsable: " + S.Error, false);
+    if (!ValidOk)
+      Why = fnError(I, N, &P.Originals[I].name(), Why);
+  }
   if (!ValidOk) {
     Stats::bump("server.validation_mismatches");
     T.note("status", "validation_failed");
@@ -609,6 +355,10 @@ Value Service::handleImpl(const std::string &Payload,
 
   Trace::Scope T("server.request", "handle",
                  "bytes=" + std::to_string(Payload.size()));
+  auto Fail = [&](Status S, const std::string &Why) {
+    T.note("status", statusName(S));
+    return finish(makeErrorResponse(R.Id, S, Why));
+  };
 
   // Arm the deadline before any work so parse/verify time counts too.
   CancelToken Deadline;
@@ -616,46 +366,29 @@ Value Service::handleImpl(const std::string &Payload,
                                          : Config.DefaultDeadlineMs;
   if (DeadlineMs >= 0 && Config.MaxDeadlineMs > 0)
     DeadlineMs = std::min(DeadlineMs, Config.MaxDeadlineMs);
-  const bool HasDeadline = DeadlineMs >= 0;
-  if (HasDeadline)
+  if (DeadlineMs >= 0)
     Deadline.setTimeoutMs(DeadlineMs);
+  const CancelToken *Cancel = DeadlineMs >= 0 ? &Deadline : nullptr;
 
-  // v4 deltas and multi-function modules take the per-function
-  // memoization path; plain single-function requests keep the original
-  // allocation-free hot path below.
-  {
-    thread_local std::vector<std::string_view> Probe;
-    splitModuleInto(R.Ir, Probe);
-    if (!R.BaseKey.empty() || Probe.size() > 1)
-      return handleModuleOrDelta(Config, R, T,
-                                 HasDeadline ? &Deadline : nullptr, Start);
-  }
-
-  // Per-worker parser state: Function storage and every scratch buffer
-  // reach a high-water capacity and are recycled, so steady-state parses
-  // allocate nothing.
-  thread_local ParserScratch Scratch;
-  thread_local ParseResult Ir;
-  parseFunctionInto(R.Ir, Config.Limits, Scratch, Ir);
-  if (!Ir) {
-    T.note("status", Ir.OverLimit ? "limits" : "parse_error");
-    return finish(makeErrorResponse(
-        R.Id, Ir.OverLimit ? Status::Limits : Status::ParseError, Ir.Error));
-  }
-  Function &Fn = Ir.Fn;
-
-  std::vector<std::string> Errors = verifyFunction(Fn);
-  if (!Errors.empty()) {
-    T.note("status", "verify_error");
-    return finish(
-        makeErrorResponse(R.Id, Status::VerifyError, Errors.front()));
+  // A plain request is one function.  A module request is several, split
+  // at their `func` headers, and a delta patches a retained module
+  // (docs/INCREMENTAL.md); both answer with a `functions` array under a
+  // module key.
+  thread_local std::vector<std::string_view> Chunks;
+  splitModuleInto(R.Ir, Chunks);
+  const bool IsDelta = !R.BaseKey.empty();
+  const bool Module = IsDelta || Chunks.size() > 1;
+  if (Module) {
+    Stats::bump(IsDelta ? "server.delta_requests" : "server.module_requests");
+    if (R.WantReport || !R.Profile.isNull())
+      return Fail(Status::BadRequest,
+                  std::string(R.WantReport ? "'report'" : "'profile'") +
+                      " is not supported for module/delta requests");
   }
 
   PipelineParse Spec = parsePipeline(R.Pipeline);
-  if (!Spec) {
-    T.note("status", "bad_request");
-    return finish(makeErrorResponse(R.Id, Status::BadRequest, Spec.Error));
-  }
+  if (!Spec)
+    return Fail(Status::BadRequest, Spec.Error);
 
   // v3: decode the edge profile up front so malformed contents answer a
   // diagnostic instead of silently serving an unprofiled result.
@@ -663,191 +396,306 @@ Value Service::handleImpl(const std::string &Payload,
   const bool HasProfile = !R.Profile.isNull();
   if (HasProfile) {
     specpre::ProfileParse PP = specpre::parseProfile(R.Profile);
-    if (!PP) {
-      T.note("status", "bad_request");
-      return finish(makeErrorResponse(R.Id, Status::BadRequest,
-                                      "field 'profile': " + PP.Error));
-    }
+    if (!PP)
+      return Fail(Status::BadRequest, "field 'profile': " + PP.Error);
     Profile = std::move(PP.P);
     Stats::bump("server.profiled_requests");
   }
 
-  // Per-request translation validation re-executes the original against
-  // the served bytes *after* the cache lookup, so keep a pristine copy
-  // before the pipeline (or a coalesced leader) can mutate Fn.
-  Function ValidateOriginal;
-  if (R.Validate)
-    ValidateOriginal = Fn;
+  // The key covers the *canonical* forms: the printed (parsed) IR and the
+  // parsed pipeline's step names, so formatting variants of the same
+  // request share an entry, while any config bit that can change the
+  // output keeps entries apart.
+  cache::PipelineFingerprint FP;
+  for (size_t I = 0, N = Spec.P.size(); I != N; ++I) {
+    if (I)
+      FP.Pipeline += ',';
+    FP.Pipeline += Spec.P.stepName(I);
+  }
+  FP.Limits = Config.Limits;
+  FP.Check = R.Check;
+  FP.CheckRuns = R.Check ? Config.CheckRuns : 0;
+  FP.Report = R.WantReport;
+  if (HasProfile)
+    FP.ProfileKey = Profile.canonicalKey();
+  const cache::Digest FPD = FP.digest();
 
-  // Everything the pipeline produces, packaged so the result cache can
-  // store it and coalesced followers can share it.  Runs at most once per
-  // handle() call (as the single-flight leader, or directly when caching
-  // is off).
-  auto Compute = [&]() -> cache::SingleFlight::Result {
-    // Test-only latency injection lives *inside* the computation so the
-    // coalescing tests can hold a leader mid-flight deterministically.
-    if (Config.EnableTestOptions && R.TestSleepMs > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(R.TestSleepMs));
-    Stats::bump("server.pipeline_runs");
-
-    // Activate the request's profile for the `specpre` pass.  Scoped here
-    // — not around the cache lookup — because under single-flight the
-    // leader runs Compute on its own thread; the thread-local must be set
-    // where the pipeline actually executes.
-    specpre::ProfileContext::Scope ProfileScope(HasProfile ? &Profile
-                                                           : nullptr);
-
-    // Keep the pre-optimization program for the semantic check.
-    Function Original = R.Check ? Fn : Function();
-
-    RunReport Report;
-    Pipeline::RunResult Run;
-    if (R.WantReport) {
-      Report = collectRunReport(Spec.P, Fn, "lcm_server", R.Pipeline,
-                                HasDeadline ? &Deadline : nullptr);
-      Run.Ok = Report.Ok;
-      Run.Cancelled = Report.Cancelled;
-      Run.Error = Report.Error;
-      for (const PassRecord &P : Report.Passes)
-        Run.Steps.push_back({P.Name, P.Changes, P.Seconds, P.WordOps, {}});
-    } else {
-      Run = Spec.P.run(Fn, HasDeadline ? &Deadline : nullptr);
-    }
-    if (Run.Cancelled)
-      return cache::SingleFlight::Result::cancelled(Run.Error);
-    if (!Run.Ok)
-      return cache::SingleFlight::Result::error(Run.Error,
-                                                int(Status::PipelineError));
-
-    // The check runs execute the original anyway, so their traversal
-    // counts are a free *measured* edge profile of the request's program —
-    // served back as `profile_out` for the client to feed into a later
-    // profiled (specpre) request.
-    specpre::EdgeProfile Measured;
-    if (R.Check) {
-      for (uint64_t Seed = 1; Seed <= Config.CheckRuns; ++Seed) {
-        InterpResult Base = runSeeded(Original, Seed, Original.numVars(),
-                                      uint32_t(Original.numBlocks()));
-        InterpResult After = runSeeded(Fn, Seed, Original.numVars(),
-                                       uint32_t(Original.numBlocks()));
-        if (!sameObservableBehaviour(Base, After, Original.numVars()))
-          return cache::SingleFlight::Result::error(
-              "optimized program diverges from input under seed " +
-                  std::to_string(Seed),
-              int(Status::CheckFailed));
-        specpre::accumulateTraversals(Original, Base.SuccTraversals,
-                                      Measured);
+  // The functions to serve: the request's own, or a delta's patched base.
+  std::vector<ServedFn> Fns;
+  cache::RetainedModule Base;
+  std::string DeltaReason;
+  bool Applied = false;
+  if (IsDelta) {
+    std::vector<uint8_t> DirtyFn;
+    const DeltaFail F =
+        resolveDelta(Config, R, FPD, Base, DirtyFn, DeltaReason);
+    if (F == DeltaFail::None) {
+      Applied = true;
+      Stats::bump("server.delta_applied");
+      Fns.resize(Base.Functions.size());
+      for (size_t I = 0; I != Fns.size(); ++I) {
+        Fns[I].Text = Base.Functions[I].Text;
+        Fns[I].Known = DirtyFn[I] ? nullptr : &Base.Functions[I].Key;
+        Fns[I].Name = &Base.Functions[I].Name;
       }
+    } else if (!R.Ir.empty()) {
+      // The request carried its full text: optimize that instead, and say
+      // so — the client learns its base is gone and re-anchors.
+      Stats::bump("server.delta_fallbacks");
+    } else {
+      return Fail(F == DeltaFail::Miss ? Status::BaseMiss
+                                       : Status::BadRequest,
+                  DeltaReason);
     }
-
-    cache::CacheEntry E;
-    printFunction(Fn, E.Ir);
-    for (const Pipeline::StepResult &S : Run.Steps)
-      E.Changes += S.Changes;
-    E.Checked = R.Check;
-    E.CheckRuns = R.Check ? Config.CheckRuns : 0;
-    if (R.Check && !Measured.empty())
-      E.ProfileJson = specpre::profileToJson(Measured).dump(0);
-    if (R.WantReport)
-      E.ReportJson = Report.toJson().dump(0);
-    return cache::SingleFlight::Result::value(std::move(E));
-  };
-
-  cache::ResultCache::Lookup L;
-  std::string KeyHex;
-  cache::Digest ReqKey;
-  cache::Digest RetainedFp;
-  // Retain the canonical input so a later v4 delta can use this request's
-  // cache_key as its base (docs/INCREMENTAL.md).  Printed before the
-  // pipeline mutates Fn.
-  thread_local std::string RetainedText;
-  const bool Retain = Config.Cache != nullptr && Config.Retained != nullptr;
-  if (Retain) {
-    RetainedText.clear();
-    printFunction(Fn, RetainedText);
   }
-  if (Config.Cache) {
-    // The key covers the *canonical* forms: the printed (parsed) IR and
-    // the parsed pipeline's step names, so formatting variants of the same
-    // request share an entry, while any config bit that can change the
-    // output keeps entries apart.
-    cache::PipelineFingerprint FP;
-    for (size_t I = 0, N = Spec.P.size(); I != N; ++I) {
-      if (I)
-        FP.Pipeline += ',';
-      FP.Pipeline += Spec.P.stepName(I);
+  if (!Applied) {
+    Fns.resize(Chunks.size());
+    for (size_t I = 0; I != Fns.size(); ++I)
+      Fns[I].Text = Chunks[I];
+  }
+  const size_t N = Fns.size();
+
+  // Parse, verify and key every function before any pipeline runs.  Each
+  // parse is per-worker storage that reaches a high-water capacity and is
+  // recycled, so steady-state parses allocate nothing; only the last
+  // request's function count is kept.
+  thread_local ParserScratch Scratch;
+  thread_local std::vector<ParseResult> Ir;
+  Ir.resize(N);
+  for (size_t I = 0; I != N; ++I) {
+    ServedFn &F = Fns[I];
+    // An untouched function of an applied delta is answered by its retained
+    // key alone — no parse, no hash, no pipeline — which is where the
+    // edit-loop speedup comes from (bench/perf_editloop.cpp).  A validating
+    // request still parses it as the check's baseline.
+    if (F.Known && Config.Cache->get(*F.Known, F.E)) {
+      F.Key = *F.Known;
+      F.Cached = true;
+      Stats::bump("server.delta_fn_reused");
+      if (!R.Validate)
+        continue;
     }
-    FP.Limits = Config.Limits;
-    FP.Check = R.Check;
-    FP.CheckRuns = R.Check ? Config.CheckRuns : 0;
-    FP.Report = R.WantReport;
-    if (HasProfile)
-      FP.ProfileKey = Profile.canonicalKey();
+    ParseResult &P = Ir[I];
+    parseFunctionInto(F.Text, Config.Limits, Scratch, P);
+    if (!P)
+      return Fail(P.OverLimit ? Status::Limits : Status::ParseError,
+                  fnError(I, N, nullptr, P.Error));
+    std::vector<std::string> Errors = verifyFunction(P.Fn);
+    if (!Errors.empty())
+      return Fail(Status::VerifyError,
+                  fnError(I, N, &P.Fn.name(), Errors.front()));
+    F.Name = &P.Fn.name();
     // Streaming form: the canonical IR is printed directly into the
-    // incremental hasher, never materialized as a string.
-    ReqKey = cache::requestKey(Fn, FP);
-    KeyHex = ReqKey.hex();
-    RetainedFp = FP.digest();
-    L = Config.Cache->getOrCompute(ReqKey, HasDeadline ? &Deadline : nullptr,
-                                   Compute);
-  } else {
-    L.Src = cache::ResultCache::Source::Computed;
-    L.R = Compute();
+    // incremental hasher, never materialized as a string.  A cacheless
+    // plain answer carries no key.
+    if (!F.Cached && (Config.Cache || Module))
+      F.Key = F.Known ? *F.Known : cache::requestKey(P.Fn, FP);
   }
 
-  using RK = cache::SingleFlight::Result::Kind;
-  if (L.R.K == RK::Cancelled) {
-    T.note("status", "deadline_exceeded");
-    return finish(
-        makeErrorResponse(R.Id, Status::DeadlineExceeded, L.R.Error));
-  }
-  if (L.R.K == RK::Error) {
-    const Status S =
-        L.R.Code != 0 ? Status(L.R.Code) : Status::PipelineError;
-    T.note("status", statusName(S));
-    return finish(makeErrorResponse(R.Id, S, L.R.Error));
+  // A plain answer is keyed by its function.  A module answer's key
+  // digests the function keys under this fingerprint: it is what the
+  // client's next delta names as its base.
+  cache::Digest Key = Fns[0].Key;
+  if (Module) {
+    cache::Hasher H;
+    H.update("lcm-module-v1");
+    H.updateU64(FPD.Hi).updateU64(FPD.Lo);
+    for (const ServedFn &F : Fns)
+      H.updateU64(F.Key.Hi).updateU64(F.Key.Lo);
+    Key = H.digest();
   }
 
-  const cache::CacheEntry &E = L.R.Entry;
-
+  // Retain the canonical input so a later delta can name this answer as
+  // its base.  The record is printed before the pipeline mutates the
+  // parses, and only when the tier does not hold the key yet.  Texts are
+  // printed into a reused buffer and copied out at their exact size: the
+  // tier's budget counts text sizes, and the printer over-reserves.
+  cache::RetainedModule Record;
+  const bool Retain = Config.Cache && Config.Retained &&
+                      !Config.Retained->touch(Key);
   if (Retain) {
-    cache::RetainedModule M;
-    M.Fp = RetainedFp;
-    M.Functions.push_back({Fn.name(), RetainedText, ReqKey});
-    Config.Retained->put(ReqKey, std::move(M));
+    thread_local std::string Canon;
+    Record.Fp = FPD;
+    Record.Functions.reserve(N);
+    for (size_t I = 0; I != N; ++I) {
+      std::string_view Text = Fns[I].Text;
+      if (!Fns[I].Known) {
+        Canon.clear();
+        printFunction(Ir[I].Fn, Canon);
+        Text = Canon;
+      }
+      Record.Functions.push_back(
+          {*Fns[I].Name, std::string(Text), Fns[I].Key});
+    }
   }
 
+  // Per-request translation validation re-executes the originals against
+  // the served bytes *after* the cache lookup, so keep pristine copies
+  // before the pipeline (or a coalesced leader) can mutate the parses.
+  std::vector<Function> Originals;
+  if (R.Validate) {
+    Originals.reserve(N);
+    for (size_t I = 0; I != N; ++I)
+      Originals.push_back(Ir[I].Fn);
+  }
+
+  for (size_t I = 0; I != N; ++I) {
+    ServedFn &F = Fns[I];
+    if (F.Cached)
+      continue;
+    Function &Fn = Ir[I].Fn;
+    // Everything the pipeline produces, packaged so the result cache can
+    // store it and coalesced followers can share it.  Runs at most once per
+    // function (as the single-flight leader, or directly when caching is
+    // off).
+    auto Compute = [&]() -> cache::SingleFlight::Result {
+      // Test-only latency injection lives *inside* the computation so the
+      // coalescing tests can hold a leader mid-flight deterministically.
+      if (Config.EnableTestOptions && R.TestSleepMs > 0)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(R.TestSleepMs));
+      Stats::bump("server.pipeline_runs");
+
+      // Activate the request's profile for the `specpre` pass.  Scoped
+      // here — not around the cache lookup — because under single-flight
+      // the leader runs Compute on its own thread; the thread-local must be
+      // set where the pipeline actually executes.
+      specpre::ProfileContext::Scope ProfileScope(HasProfile ? &Profile
+                                                             : nullptr);
+
+      // Keep the pre-optimization program for the semantic check.
+      Function Original = R.Check ? Fn : Function();
+
+      RunReport Report;
+      Pipeline::RunResult Run;
+      if (R.WantReport) {
+        Report = collectRunReport(Spec.P, Fn, "lcm_server", R.Pipeline,
+                                  Cancel);
+        Run.Ok = Report.Ok;
+        Run.Cancelled = Report.Cancelled;
+        Run.Error = Report.Error;
+        for (const PassRecord &P : Report.Passes)
+          Run.Steps.push_back({P.Name, P.Changes, P.Seconds, P.WordOps, {}});
+      } else {
+        Run = Spec.P.run(Fn, Cancel);
+      }
+      if (Run.Cancelled)
+        return cache::SingleFlight::Result::cancelled(Run.Error);
+      if (!Run.Ok)
+        return cache::SingleFlight::Result::error(Run.Error,
+                                                  int(Status::PipelineError));
+
+      // The check runs execute the original anyway, so their traversal
+      // counts are a free *measured* edge profile of the function —
+      // served back as `profile_out` for the client to feed into a later
+      // profiled (specpre) request.
+      specpre::EdgeProfile Measured;
+      if (R.Check) {
+        for (uint64_t Seed = 1; Seed <= Config.CheckRuns; ++Seed) {
+          InterpResult BaseRun = runSeeded(Original, Seed, Original.numVars(),
+                                           uint32_t(Original.numBlocks()));
+          InterpResult After = runSeeded(Fn, Seed, Original.numVars(),
+                                         uint32_t(Original.numBlocks()));
+          if (!sameObservableBehaviour(BaseRun, After, Original.numVars()))
+            return cache::SingleFlight::Result::error(
+                "optimized program diverges from input under seed " +
+                    std::to_string(Seed),
+                int(Status::CheckFailed));
+          specpre::accumulateTraversals(Original, BaseRun.SuccTraversals,
+                                        Measured);
+        }
+      }
+
+      cache::CacheEntry E;
+      printFunction(Fn, E.Ir);
+      for (const Pipeline::StepResult &S : Run.Steps)
+        E.Changes += S.Changes;
+      E.Checked = R.Check;
+      E.CheckRuns = R.Check ? Config.CheckRuns : 0;
+      if (R.Check && !Measured.empty())
+        E.ProfileJson = specpre::profileToJson(Measured).dump(0);
+      if (R.WantReport)
+        E.ReportJson = Report.toJson().dump(0);
+      return cache::SingleFlight::Result::value(std::move(E));
+    };
+
+    cache::ResultCache::Lookup L;
+    if (Config.Cache) {
+      L = Config.Cache->getOrCompute(F.Key, Cancel, Compute);
+    } else {
+      L.Src = cache::ResultCache::Source::Computed;
+      L.R = Compute();
+    }
+    using RK = cache::SingleFlight::Result::Kind;
+    if (L.R.K == RK::Cancelled)
+      return Fail(Status::DeadlineExceeded, L.R.Error);
+    if (L.R.K == RK::Error)
+      return Fail(L.R.Code != 0 ? Status(L.R.Code) : Status::PipelineError,
+                  fnError(I, N, F.Name, L.R.Error));
+    F.Cached = L.cached();
+    F.E = std::move(L.R.Entry);
+  }
+  if (Module)
+    Stats::bump("server.module_functions", N);
+  if (Retain)
+    Config.Retained->put(Key, std::move(Record));
+
+  bool AllCached = true;
+  uint64_t Changes = 0;
+  std::string IrOut;
+  Value Functions = Value::array();
+  for (const ServedFn &F : Fns) {
+    AllCached &= F.Cached;
+    Changes += F.E.Changes;
+    IrOut += F.E.Ir;
+    if (!IrOut.empty() && IrOut.back() != '\n')
+      IrOut += '\n';
+    if (Module) {
+      Value FV = Value::object();
+      FV.set("name", Value::str(*F.Name));
+      FV.set("cache_key", Value::str(F.Key.hex()));
+      FV.set("cached", Value::boolean(F.Cached));
+      Functions.push(std::move(FV));
+    }
+  }
   Value Response = makeResponse(R.Id, Status::Ok);
-  Response.set("ir", Value::str(E.Ir));
+  Response.set("ir", Value::str(std::move(IrOut)));
   Response.set("pipeline", Value::str(R.Pipeline));
-  Response.set("changes", Value::number(E.Changes));
+  Response.set("changes", Value::number(Changes));
   Response.set(
       "seconds",
       Value::number(std::chrono::duration<double>(Clock::now() - Start)
                         .count()));
-  if (E.Checked) {
+  if (R.Check) {
     Response.set("checked", Value::boolean(true));
-    Response.set("check_runs", Value::number(uint64_t(E.CheckRuns)));
-    if (!E.ProfileJson.empty()) {
+    Response.set("check_runs", Value::number(uint64_t(Config.CheckRuns)));
+    if (!Module && !Fns[0].E.ProfileJson.empty()) {
       // Measured profile of the original program (lcm-profile-v1), ready
       // to be sent back verbatim as a future request's `profile` field.
-      json::ParseResult PP = json::parse(E.ProfileJson);
+      json::ParseResult PP = json::parse(Fns[0].E.ProfileJson);
       if (PP.Ok)
         Response.set("profile_out", std::move(PP.V));
     }
   }
   if (R.Validate)
     Response.set("validated", Value::boolean(true));
-  if (R.WantReport && !E.ReportJson.empty()) {
+  if (R.WantReport && !Fns[0].E.ReportJson.empty()) {
     // Cached hits replay the leader's report verbatim (its timings
     // describe the run that actually happened).
-    json::ParseResult PR = json::parse(E.ReportJson);
+    json::ParseResult PR = json::parse(Fns[0].E.ReportJson);
     if (PR.Ok)
       Response.set("report", std::move(PR.V));
   }
+  if (Module)
+    Response.set("functions", std::move(Functions));
   if (Config.Cache) {
-    Response.set("cached", Value::boolean(L.cached()));
-    Response.set("cache_key", Value::str(KeyHex));
+    Response.set("cached", Value::boolean(AllCached));
+    Response.set("cache_key", Value::str(Key.hex()));
+  }
+  if (IsDelta) {
+    Response.set("delta", Value::str(Applied ? "applied" : "fallback"));
+    if (!Applied && !DeltaReason.empty())
+      Response.set("delta_reason", Value::str(DeltaReason));
   }
   if (R.ServerInfo) {
     // Identify what served the request so clients (lcm_loadgen) can label
@@ -862,7 +710,7 @@ Value Service::handleImpl(const std::string &Payload,
     // pipeline runs specpre *and* a profile arrived to drive it — specpre
     // without a profile is classic LCM by construction (docs/SPECPRE.md).
     bool RunsSpecPre = false;
-    for (size_t I = 0, N = Spec.P.size(); I != N; ++I)
+    for (size_t I = 0; I != Spec.P.size(); ++I)
       RunsSpecPre |= Spec.P.stepName(I) == "specpre";
     Srv.set("placement_strategy", Value::str(RunsSpecPre && HasProfile
                                                  ? "speculative"
@@ -872,9 +720,9 @@ Value Service::handleImpl(const std::string &Payload,
     Response.set("server", std::move(Srv));
   }
   T.note("status", "ok");
-  T.note("changes", E.Changes);
+  T.note("changes", Changes);
   if (Config.Cache)
-    T.note("cached", L.cached() ? "true" : "false");
+    T.note("cached", AllCached ? "true" : "false");
 
   if (R.Validate) {
     // The response is fully assembled but not yet trustworthy: package the
@@ -883,8 +731,8 @@ Value Service::handleImpl(const std::string &Payload,
     PendingValidation P;
     P.Active = true;
     P.Id = R.Id;
-    P.Original = std::move(ValidateOriginal);
-    P.ServedIr = E.Ir;
+    P.Originals = std::move(Originals);
+    P.ServedIr = Response.find("ir")->asString();
     P.Runs = std::max(1u, Config.CheckRuns);
     P.Response = std::move(Response);
     if (Deferred) {

@@ -7,11 +7,15 @@
 ///
 /// \file
 /// The transport-independent core of the optimization service: one request
-/// payload in, one response document out.  Everything a hostile client can
-/// send lands in a structured error response — resource caps bound parsing
-/// (ir/Limits.h), the verifier gates the pipeline, the pipeline re-verifies
-/// after every pass, and the deadline is enforced cooperatively through the
-/// CancelToken the pipeline polls at pass boundaries.
+/// payload in, one response document out.  A request holds one function,
+/// a module of several, or a delta against a retained module
+/// (docs/INCREMENTAL.md); all three are served by the same loop over their
+/// functions, a single function being a module of one.  Everything a
+/// hostile client can send lands in a structured error response —
+/// resource caps bound parsing (ir/Limits.h), the verifier gates the
+/// pipeline, the pipeline re-verifies after every pass, and the deadline
+/// is enforced cooperatively through the CancelToken the pipeline polls
+/// at pass boundaries.
 ///
 /// Following the independent-checking argument of Monniaux & Six
 /// (arXiv:2105.01344), a request may opt into `check`: the service
@@ -38,6 +42,7 @@
 #define LCM_SERVER_SERVICE_H
 
 #include <memory>
+#include <vector>
 
 #include "cache/ResultCache.h"
 #include "cache/RetainedIr.h"
@@ -90,22 +95,24 @@ public:
   /// structured status.  Bumps the `server.*` Stats counters.
   json::Value handle(const std::string &Payload) const;
 
-  /// A `validate: true` request's equivalence check, split off handle()
-  /// so the Server can run it on a dedicated validator pool instead of
-  /// the worker that ran the pipeline: the check re-executes the program
-  /// Config.CheckRuns times and dominates a validating request's service
-  /// time (docs/SERVER.md), so keeping it off the workers keeps the
-  /// pipeline pool's throughput intact under validating load.
+  /// A `validate: true` request's equivalence check over every function it
+  /// serves, split off handle() so the Server can run it on a dedicated
+  /// validator pool instead of the worker that ran the pipeline: the check
+  /// re-executes the program Config.CheckRuns times and dominates a
+  /// validating request's service time (docs/SERVER.md), so keeping it off
+  /// the workers keeps the pipeline pool's throughput intact under
+  /// validating load.
   struct PendingValidation {
     /// True when handle() deferred: the caller owns finishing the request
     /// with finishValidation().
     bool Active = false;
     /// Echoed request id, for the failure response.
     json::Value Id;
-    /// Pristine parse of the request IR — the validation baseline.
-    Function Original;
-    /// The entry bytes about to be served, reparsed and re-executed by
-    /// the check.
+    /// Pristine parse of each served function, in answer order — the
+    /// validation baselines.
+    std::vector<Function> Originals;
+    /// The IR about to be served (the answer's `ir`), split per function,
+    /// reparsed and re-executed by the check.
     std::string ServedIr;
     /// Seeded executions to run.
     unsigned Runs = 0;

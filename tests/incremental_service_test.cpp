@@ -358,6 +358,21 @@ TEST(ModuleRequests, OptimizesEveryFunctionAndMemoizesPerFunction) {
   EXPECT_TRUE(boolField(Alone, "cached"))
       << "module serving must populate the same per-function entries the "
          "single-function path keys on";
+
+  // A checked module request stores what a checked single-function
+  // request does, measured profile included.
+  Request CheckedModule = R;
+  CheckedModule.Check = true;
+  Value Checked = S.handle(payloadFor(CheckedModule));
+  ASSERT_EQ(statusOf(Checked), "ok") << Checked.dump();
+  Request CheckedOne = One;
+  CheckedOne.Check = true;
+  Value CheckedAlone = S.handle(payloadFor(CheckedOne));
+  ASSERT_EQ(statusOf(CheckedAlone), "ok") << CheckedAlone.dump();
+  EXPECT_TRUE(boolField(CheckedAlone, "cached"));
+  EXPECT_NE(CheckedAlone.find("profile_out"), nullptr)
+      << "a hit must answer what a fresh service answers: "
+      << CheckedAlone.dump();
 }
 
 TEST(ModuleRequests, RejectsReportAndProfile) {
@@ -369,6 +384,60 @@ TEST(ModuleRequests, RejectsReportAndProfile) {
   R.WantReport = true;
   Value Resp = S.handle(payloadFor(R));
   EXPECT_EQ(statusOf(Resp), "bad_request") << Resp.dump();
+}
+
+TEST(ModuleRequests, ValidationRefusesAPoisonedMember) {
+  // The checker, not the cache, is trusted: with the entry behind a
+  // module's second function corrupted, the module must not be served as
+  // validated, whether the check runs inline or on a validator pool.
+  ServiceConfig Config;
+  Config.Cache =
+      std::make_shared<cache::ResultCache>(cache::ResultCacheConfig());
+  std::string Error;
+  ASSERT_TRUE(Config.Cache->open(Error)) << Error;
+  Service S(Config);
+  Request R;
+  R.Ir = "func a\nblock b0\n  q = a + b\n  exit\n"
+         "func b\nblock b0\n  x = a + b\n  y = a + b\n  z = x + y\n  exit\n";
+  Value First = S.handle(payloadFor(R));
+  ASSERT_EQ(statusOf(First), "ok") << First.dump();
+  cache::Digest Key;
+  ASSERT_TRUE(cache::Digest::fromHex(
+      strField(First.find("functions")->items()[1], "cache_key"), Key));
+  cache::CacheEntry Poisoned;
+  Poisoned.Ir = "func b\nblock b0\n  x = a + b\n  y = a + b\n  z = x - y\n"
+                "  exit\n";
+  Config.Cache->put(Key, Poisoned);
+
+  R.Validate = true;
+  Value Inline = S.handle(payloadFor(R));
+  EXPECT_EQ(statusOf(Inline), "validation_failed") << Inline.dump();
+  EXPECT_NE(strField(Inline, "error").find("function 1 ('b')"),
+            std::string::npos)
+      << Inline.dump();
+  Service::PendingValidation Pending;
+  EXPECT_TRUE(S.handle(payloadFor(R), Pending).isNull());
+  ASSERT_TRUE(Pending.Active);
+  EXPECT_EQ(statusOf(S.finishValidation(std::move(Pending))),
+            "validation_failed");
+}
+
+TEST(RetainedTier, EachAnswerKeyIsWrittenOnce) {
+  const std::vector<CorpusEntry> Corpus = makeDefaultCorpus();
+  Service S = makeIncrementalService();
+  Request One;
+  One.Ir = corpusText(Corpus[0]);
+  Request Module;
+  Module.Ir = corpusText(Corpus[1]) + corpusText(Corpus[2]);
+  for (const Request *Q : {&One, &Module}) {
+    const uint64_t Before = Stats::get("cache.retained.insertions");
+    for (int I = 0; I != 5; ++I) {
+      Value Resp = S.handle(payloadFor(*Q));
+      ASSERT_EQ(statusOf(Resp), "ok") << Resp.dump();
+    }
+    EXPECT_EQ(Stats::get("cache.retained.insertions"), Before + 1)
+        << "repeats of one answer must refresh its record, not rewrite it";
+  }
 }
 
 //===----------------------------------------------------------------------===//

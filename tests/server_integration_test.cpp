@@ -533,10 +533,15 @@ TEST(ServerIntegration, ValidatorPoolOffloadsChecks) {
   // pipeline workers: responses still arrive validated, and the offload
   // counter proves the handoff actually happened.
   const uint64_t OffloadedBefore = Stats::get("server.validations_offloaded");
+  const uint64_t InlineBefore =
+      Stats::get("server.validations_inline_fallback");
   ServerOptions Opts;
   Opts.TcpPort = 0;
   Opts.Workers = 2;
   Opts.Validators = 2;
+  // Deltas need the result cache and the retained tier.
+  Opts.Service.Cache = openCache("");
+  Opts.Service.Retained = std::make_shared<cache::RetainedIrCache>();
   RunningServer Srv(Opts);
   ASSERT_TRUE(Srv.Started);
 
@@ -544,6 +549,8 @@ TEST(ServerIntegration, ValidatorPoolOffloadsChecks) {
   std::string Error;
   ASSERT_TRUE(Cl.connectTcp(Srv.S.tcpPort(), Error, 2000)) << Error;
 
+  const std::string Module = std::string("func a\n") + Programs[0] +
+                             "func b\n" + Programs[2];
   for (int I = 0; I != 12; ++I) {
     Request R = makeRequest(I, Programs[I % 3]);
     R.Validate = true;
@@ -554,10 +561,37 @@ TEST(ServerIntegration, ValidatorPoolOffloadsChecks) {
     EXPECT_TRUE(Response.find("validated")->asBool());
     EXPECT_TRUE(equivalentToOriginal(Programs[I % 3],
                                      Response.find("ir")->asString()));
+
+    // A two-function module, then a delta editing its second function.
+    Request M = makeRequest(100 + I, Module);
+    M.Validate = true;
+    Value ModuleResponse;
+    ASSERT_TRUE(Cl.call(M, ModuleResponse, Error)) << Error;
+    ASSERT_EQ(statusOf(ModuleResponse), "ok") << ModuleResponse.dump();
+    EXPECT_TRUE(ModuleResponse.find("validated")->asBool());
+    Request D = makeRequest(200 + I, "");
+    D.BaseKey = ModuleResponse.find("cache_key")->asString();
+    D.Patch.push_back({PatchOp::Kind::ReplaceBlock, "b0", "", "b",
+                       "block b0\n  x = a + b\n  z = x + x\n  exit\n"});
+    D.Validate = true;
+    Value DeltaResponse;
+    ASSERT_TRUE(Cl.call(D, DeltaResponse, Error)) << Error;
+    ASSERT_EQ(statusOf(DeltaResponse), "ok") << DeltaResponse.dump();
+    EXPECT_EQ(DeltaResponse.find("delta")->asString(), "applied");
+    EXPECT_TRUE(DeltaResponse.find("validated")->asBool());
   }
+  // A worker counts its hand-off after the validator may already have
+  // answered; joining the workers makes the counts final.
+  Srv.S.shutdown();
 
   EXPECT_GT(Stats::get("server.validations_offloaded"), OffloadedBefore)
       << "validator pool configured but every check ran inline";
+  // Every check was handed to the pool (a full hand-off queue finishes
+  // inline instead), modules and deltas included.
+  EXPECT_EQ(Stats::get("server.validations_offloaded") - OffloadedBefore +
+                Stats::get("server.validations_inline_fallback") -
+                InlineBefore,
+            36u);
 }
 
 TEST(ServerIntegration, ValidateFlagToleratedOnV1Payloads) {
