@@ -9,10 +9,11 @@
 //
 // in MB/s over the experiment corpus, plus the number that motivates the
 // design: heap allocations per steady-state parse->optimize->print
-// iteration once every reusable buffer has reached its high-water
-// capacity.  Linked against lcm_alloc_hook, so the allocation counts are
-// exact (see support/AllocHook.h); under sanitizer builds the hook is
-// inert and the counts report as unmeasured.
+// iteration (local CSE, LCM and cleanup, verified after every pass) once
+// every reusable buffer has reached its high-water capacity.  Linked
+// against lcm_alloc_hook, so the allocation counts are exact (see
+// support/AllocHook.h); under sanitizer builds the hook is inert and the
+// counts report as unmeasured.
 //
 // The corpus sweep is repeated a fixed number of times, so `--json` mode
 // (the CI bench-smoke artifact) stays fast and deterministic in shape.
@@ -24,12 +25,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "baseline/Cleanup.h"
 #include "bench_common.h"
 #include "cache/ContentHash.h"
 #include "core/Lcm.h"
 #include "core/LocalCse.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/Verifier.h"
 #include "support/AllocHook.h"
 #include "support/SimdWords.h"
 
@@ -64,14 +67,22 @@ double mbPerSecond(size_t Bytes, double Seconds) {
   return Seconds > 0 ? double(Bytes) / Seconds / 1e6 : 0.0;
 }
 
-/// One full request-shaped iteration: parse the text, optimize, print the
-/// result into \p Out.  Exactly the loop the allocation gate pins.
+/// One full request-shaped iteration: parse the text, run
+/// `lcse,lcm,cleanup` verifying after every pass as Pipeline::run does,
+/// print the result into \p Out.  Exactly the loop the allocation gate
+/// pins.
 void requestIteration(const std::string &Text, const IRLimits &Limits,
                       ParserScratch &Scratch, ParseResult &Ir,
                       PreRunResult &R, std::string &Out) {
   parseFunctionInto(Text, Limits, Scratch, Ir);
   runLocalCse(Ir.Fn);
+  bool Valid = verifyFunction(Ir.Fn).empty();
   runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+  Valid &= verifyFunction(Ir.Fn).empty();
+  runCleanup(Ir.Fn, CleanupOptions{});
+  Valid &= verifyFunction(Ir.Fn).empty();
+  if (!Valid)
+    std::printf("WARNING: %s failed verification\n", Ir.Fn.name().c_str());
   Out.clear();
   printFunction(Ir.Fn, Out);
 }

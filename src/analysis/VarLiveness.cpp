@@ -4,14 +4,24 @@
 
 using namespace lcm;
 
-VarLivenessResult lcm::computeVarLiveness(const Function &Fn,
-                                          const BitVector *ExitLive,
-                                          SolverStrategy S) {
+void lcm::computeVarLivenessInto(const Function &Fn,
+                                 const BitVector *ExitLive, SolverStrategy S,
+                                 DataflowResult &R) {
   const size_t NumVars = Fn.numVars();
-  std::vector<GenKill> Transfers(Fn.numBlocks());
+  // Per-thread transfer rows and boundary, kept at their largest size; the
+  // solvers index by BlockId and never read rows past numBlocks().
+  thread_local std::vector<GenKill> Transfers;
+  thread_local BitVector NoneLive;
+  if (Transfers.size() < Fn.numBlocks())
+    Transfers.resize(Fn.numBlocks());
 
   for (const BasicBlock &B : Fn.blocks()) {
-    BitVector Use(NumVars), Def(NumVars);
+    BitVector &Use = Transfers[B.id()].Gen;
+    BitVector &Def = Transfers[B.id()].Kill;
+    Use.resize(NumVars);
+    Use.resetAll();
+    Def.resize(NumVars);
+    Def.resetAll();
     // Upward-exposed uses and definitions, scanning forward.
     auto noteUse = [&](Operand O) {
       if (O.isVar() && !Def.test(O.var()))
@@ -39,15 +49,23 @@ VarLivenessResult lcm::computeVarLiveness(const Function &Fn,
     // within the block; they do not extend LiveIn.  However, a condition is
     // always live *out* of the body into the branch; for block-boundary
     // metrics we approximate the branch read as part of the block.
-    Transfers[B.id()].Gen = std::move(Use);
-    Transfers[B.id()].Kill = std::move(Def);
   }
 
   assert((!ExitLive || ExitLive->size() == NumVars) &&
          "exit-liveness universe mismatch");
-  DataflowResult D =
-      solveGenKill(Fn, Direction::Backward, Meet::Union, Transfers,
-                   ExitLive ? *ExitLive : BitVector(NumVars), S);
+  if (!ExitLive) {
+    NoneLive.resize(NumVars);
+    NoneLive.resetAll();
+  }
+  solveGenKillInto(Fn, Direction::Backward, Meet::Union, Transfers,
+                   ExitLive ? *ExitLive : NoneLive, S, R);
+}
+
+VarLivenessResult lcm::computeVarLiveness(const Function &Fn,
+                                          const BitVector *ExitLive,
+                                          SolverStrategy S) {
+  DataflowResult D;
+  computeVarLivenessInto(Fn, ExitLive, S, D);
   VarLivenessResult R;
   R.LiveIn = std::move(D.In);
   R.LiveOut = std::move(D.Out);

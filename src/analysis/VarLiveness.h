@@ -38,6 +38,13 @@ VarLivenessResult
 computeVarLiveness(const Function &Fn, const BitVector *ExitLive = nullptr,
                    SolverStrategy S = SolverStrategy::Sparse);
 
+/// Reuse form of computeVarLiveness: writes LiveIn into R.In and LiveOut
+/// into R.Out, whose rows are recycled across calls (R may hold more rows
+/// than blocks; see reshapeRows).  The transfers live in per-thread
+/// scratch, so with the sparse solver a warm call allocates nothing.
+void computeVarLivenessInto(const Function &Fn, const BitVector *ExitLive,
+                            SolverStrategy S, DataflowResult &R);
+
 } // namespace lcm
 
 #endif // LCM_ANALYSIS_VARLIVENESS_H

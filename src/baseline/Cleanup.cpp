@@ -2,8 +2,7 @@
 
 #include "baseline/Cleanup.h"
 
-#include <algorithm>
-#include <map>
+#include <numeric>
 
 #include "analysis/VarLiveness.h"
 
@@ -11,35 +10,65 @@ using namespace lcm;
 
 namespace {
 
-/// Resolves \p V through the current copy map.
-VarId rootOf(const std::map<VarId, VarId> &CopyOf, VarId V) {
-  auto It = CopyOf.find(V);
-  return It == CopyOf.end() ? V : It->second;
-}
+/// The copy facts of the block being rewritten, flat over the variables:
+/// RootOf[V] is the variable V was last copied from, or V itself.  A fact's
+/// source never has a fact of its own (assigning it clobbers the fact), so
+/// one lookup resolves a chain.  Dests lists the variables with a fact, so
+/// clobbering and clearing touch only those.
+struct CopyFacts {
+  std::vector<VarId> RootOf;
+  std::vector<VarId> Dests;
 
-/// Invalidates every fact involving \p W (as source or destination).
-void clobber(std::map<VarId, VarId> &CopyOf, VarId W) {
-  CopyOf.erase(W);
-  for (auto It = CopyOf.begin(); It != CopyOf.end();) {
-    if (It->second == W)
-      It = CopyOf.erase(It);
-    else
-      ++It;
+  /// Starts a function of \p NumVars variables with no facts.
+  void reset(size_t NumVars) {
+    if (RootOf.size() < NumVars)
+      RootOf.resize(NumVars);
+    std::iota(RootOf.begin(), RootOf.begin() + NumVars, VarId(0));
+    Dests.clear();
   }
-}
+
+  VarId rootOf(VarId V) const { return RootOf[V]; }
+
+  /// Records `Dest = Src`; Dest must have no fact.
+  void add(VarId Dest, VarId Src) {
+    RootOf[Dest] = Src;
+    Dests.push_back(Dest);
+  }
+
+  /// Invalidates every fact involving \p W (as source or destination).
+  void clobber(VarId W) {
+    size_t Kept = 0;
+    for (VarId D : Dests) {
+      if (D == W || RootOf[D] == W)
+        RootOf[D] = D;
+      else
+        Dests[Kept++] = D;
+    }
+    Dests.resize(Kept);
+  }
+
+  /// Drops every fact (at the end of a block).
+  void clear() {
+    for (VarId D : Dests)
+      RootOf[D] = D;
+    Dests.clear();
+  }
+};
 
 } // namespace
 
 uint64_t lcm::propagateCopies(Function &Fn) {
   uint64_t Rewritten = 0;
   ExprPool &Pool = Fn.exprs();
+  // Per-thread, kept at the largest variable count seen.
+  thread_local CopyFacts Facts;
+  Facts.reset(Fn.numVars());
 
   for (BasicBlock &B : Fn.blocks()) {
-    std::map<VarId, VarId> CopyOf;
     auto rewriteOperand = [&](Operand O) {
       if (!O.isVar())
         return O;
-      VarId Root = rootOf(CopyOf, O.var());
+      VarId Root = Facts.rootOf(O.var());
       if (Root != O.var())
         ++Rewritten;
       return Operand::makeVar(Root);
@@ -66,19 +95,20 @@ uint64_t lcm::propagateCopies(Function &Fn) {
       }
 
       VarId Dest = I.dest();
-      clobber(CopyOf, Dest);
+      Facts.clobber(Dest);
       if (I.isCopy() && I.src().isVar() && I.src().var() != Dest)
-        CopyOf[Dest] = I.src().var();
+        Facts.add(Dest, I.src().var());
     }
 
     // The branch condition is read at the very end of the block.
     if (B.hasConditionalBranch()) {
-      VarId Root = rootOf(CopyOf, *B.condVar());
+      VarId Root = Facts.rootOf(*B.condVar());
       if (Root != *B.condVar()) {
         B.setCondVar(Root);
         ++Rewritten;
       }
     }
+    Facts.clear();
   }
   return Rewritten;
 }
@@ -87,7 +117,12 @@ CleanupReport lcm::eliminateDeadCode(Function &Fn,
                                      const CleanupOptions &Opts) {
   CleanupReport Report;
   const size_t NumVars = Fn.numVars();
-  BitVector Observable(NumVars);
+  // Per-thread scratch, kept at the largest function seen.
+  thread_local BitVector Observable;
+  thread_local BitVector LiveAfter;
+  thread_local DataflowResult Live;
+  Observable.resize(NumVars);
+  Observable.resetAll();
   for (size_t V = 0; V != NumVars && V < Opts.NumObservableVars; ++V)
     Observable.set(V);
 
@@ -95,17 +130,17 @@ CleanupReport lcm::eliminateDeadCode(Function &Fn,
   while (Changed) {
     Changed = false;
     ++Report.Iterations;
-    VarLivenessResult Live = computeVarLiveness(Fn, &Observable);
+    computeVarLivenessInto(Fn, &Observable, SolverStrategy::Sparse, Live);
 
     for (BasicBlock &B : Fn.blocks()) {
-      BitVector LiveAfter = Live.LiveOut[B.id()];
+      LiveAfter = Live.Out[B.id()];
       if (B.hasConditionalBranch())
         LiveAfter.set(*B.condVar());
 
-      // Backward in-block sweep, keeping only live assignments.
-      std::vector<Instr> Kept;
+      // Backward in-block sweep, keeping only live assignments: survivors
+      // are packed, in order, into Instrs[Kept..], then slid to the front.
       auto &Instrs = B.instrs();
-      Kept.reserve(Instrs.size());
+      size_t Kept = Instrs.size();
       for (size_t I = Instrs.size(); I-- != 0;) {
         const Instr &In = Instrs[I];
         // Stores write observable memory: always roots, never removed.
@@ -130,12 +165,9 @@ CleanupReport lcm::eliminateDeadCode(Function &Fn,
         } else if (In.src().isVar()) {
           LiveAfter.set(In.src().var());
         }
-        Kept.push_back(In);
+        Instrs[--Kept] = In;
       }
-      if (Kept.size() != Instrs.size()) {
-        std::reverse(Kept.begin(), Kept.end());
-        Instrs = std::move(Kept);
-      }
+      Instrs.erase(Instrs.begin(), Instrs.begin() + Kept);
     }
   }
   return Report;
@@ -145,11 +177,14 @@ CleanupReport lcm::runCleanup(Function &Fn, const CleanupOptions &Opts) {
   CleanupReport Total;
   while (true) {
     uint64_t Copies = propagateCopies(Fn);
-    CleanupReport Dce = eliminateDeadCode(Fn, Opts);
     Total.CopiesPropagated += Copies;
+    // Every DCE round ends with a sweep that removed nothing.  If copy
+    // propagation then rewrote nothing, the function is as that sweep left
+    // it, and another round would remove nothing either.
+    if (Copies == 0 && Total.Iterations != 0)
+      return Total;
+    CleanupReport Dce = eliminateDeadCode(Fn, Opts);
     Total.InstrsRemoved += Dce.InstrsRemoved;
     Total.Iterations += Dce.Iterations;
-    if (Copies == 0 && Dce.InstrsRemoved == 0)
-      return Total;
   }
 }

@@ -40,6 +40,8 @@ struct CleanupOptions {
 struct CleanupReport {
   uint64_t CopiesPropagated = 0;
   uint64_t InstrsRemoved = 0;
+  /// Liveness solves actually run: one per DCE sweep, the last of each
+  /// eliminateDeadCode call being the one that removed nothing.
   uint64_t Iterations = 0;
 };
 
@@ -49,7 +51,8 @@ uint64_t propagateCopies(Function &Fn);
 /// Removes assignments to dead variables until nothing changes.
 CleanupReport eliminateDeadCode(Function &Fn, const CleanupOptions &Opts);
 
-/// propagateCopies + eliminateDeadCode to a joint fixpoint.
+/// propagateCopies + eliminateDeadCode to a joint fixpoint: stops once
+/// copy propagation rewrites nothing after a DCE round.
 CleanupReport runCleanup(Function &Fn, const CleanupOptions &Opts);
 
 } // namespace lcm

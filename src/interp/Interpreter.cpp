@@ -92,15 +92,20 @@ bool lcm::sameObservableBehaviour(const InterpResult &A,
     if (A.Vars[V] != B.Vars[V])
       return false;
   }
+  return !firstMemoryDifference(A, B);
+}
+
+std::optional<int64_t> lcm::firstMemoryDifference(const InterpResult &A,
+                                                  const InterpResult &B) {
   // Memory must agree address-by-address; an address only one run wrote
   // must have been written with the value the other run reads by default.
   for (const auto &[Addr, Val] : A.Mem) {
     auto It = B.Mem.find(Addr);
     if (Val != (It == B.Mem.end() ? memDefault(Addr) : It->second))
-      return false;
+      return Addr;
   }
   for (const auto &[Addr, Val] : B.Mem)
     if (!A.Mem.count(Addr) && Val != memDefault(Addr))
-      return false;
-  return true;
+      return Addr;
+  return std::nullopt;
 }

@@ -24,6 +24,7 @@
 #define LCM_INTERP_INTERPRETER_H
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "interp/Oracle.h"
@@ -81,6 +82,12 @@ public:
 /// criterion for a PRE transformation.
 bool sameObservableBehaviour(const InterpResult &A, const InterpResult &B,
                              size_t NumOriginalVars);
+
+/// The first address at which the final memories of \p A and \p B differ,
+/// or nullopt when they agree.  An address only one run wrote must hold
+/// memDefault(addr) in the other run's store.
+std::optional<int64_t> firstMemoryDifference(const InterpResult &A,
+                                             const InterpResult &B);
 
 } // namespace lcm
 

@@ -3,29 +3,47 @@
 #include "ir/Verifier.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 
 using namespace lcm;
 
 namespace {
 
-/// Marks everything reachable from \p Start following \p NextOf.
+/// Per-thread scratch, kept at its largest size so that verifying a
+/// function no larger than an earlier one allocates nothing (errors aside).
+struct VerifyScratch {
+  /// Successor-side edges bucketed by target block (a counting sort):
+  /// after the sort, EdgeEnd[S] ends S's bucket in EdgeFrom and the
+  /// previous block's end begins it.
+  std::vector<uint32_t> EdgeEnd;
+  std::vector<BlockId> EdgeFrom;
+  /// Per source block, edges into the block being checked; all zero
+  /// between checks.
+  std::vector<uint32_t> Count;
+  /// Reachability marks and DFS stack.
+  std::vector<uint8_t> Seen;
+  std::vector<BlockId> Stack;
+};
+
+/// Marks in \p S.Seen everything reachable from \p Start following
+/// \p NextOf.
 template <typename SuccFn>
-std::vector<bool> reach(const Function &Fn, BlockId Start, SuccFn NextOf) {
-  std::vector<bool> Seen(Fn.numBlocks(), false);
-  std::vector<BlockId> Stack{Start};
-  Seen[Start] = true;
-  while (!Stack.empty()) {
-    BlockId B = Stack.back();
-    Stack.pop_back();
+void reach(const Function &Fn, BlockId Start, VerifyScratch &S,
+           SuccFn NextOf) {
+  S.Seen.assign(Fn.numBlocks(), 0);
+  S.Stack.clear();
+  S.Stack.push_back(Start);
+  S.Seen[Start] = 1;
+  while (!S.Stack.empty()) {
+    BlockId B = S.Stack.back();
+    S.Stack.pop_back();
     for (BlockId N : NextOf(B)) {
-      if (!Seen[N]) {
-        Seen[N] = true;
-        Stack.push_back(N);
+      if (!S.Seen[N]) {
+        S.Seen[N] = 1;
+        S.Stack.push_back(N);
       }
     }
   }
-  return Seen;
 }
 
 } // namespace
@@ -45,41 +63,79 @@ std::vector<std::string> lcm::verifyFunction(const Function &Fn) {
   if (!Fn.block(Fn.entry()).preds().empty())
     fail("entry block has predecessors");
 
-  // Unique exit.
-  std::vector<BlockId> Exits;
-  for (const BasicBlock &B : Fn.blocks())
-    if (B.succs().empty())
-      Exits.push_back(B.id());
-  if (Exits.size() != 1)
-    fail("expected exactly one exit block, found " +
-         std::to_string(Exits.size()));
+  thread_local VerifyScratch S;
+  const size_t NumBlocks = Fn.numBlocks();
 
-  // Edge symmetry: succ multiset of edges must equal pred multiset.
-  std::map<std::pair<BlockId, BlockId>, int> EdgeCount;
+  // Unique exit.
+  size_t NumExits = 0;
+  BlockId Exit = InvalidBlock;
+  for (const BasicBlock &B : Fn.blocks())
+    if (B.succs().empty()) {
+      ++NumExits;
+      Exit = B.id();
+    }
+  if (NumExits != 1)
+    fail("expected exactly one exit block, found " +
+         std::to_string(NumExits));
+
+  // Edge symmetry: succ multiset of edges must equal pred multiset.  The
+  // successor lists are bucketed by target in O(blocks + edges); then each
+  // block's pred list is compared with its bucket through Count.
+  S.EdgeEnd.assign(NumBlocks, 0);
   for (const BasicBlock &B : Fn.blocks()) {
-    for (BlockId S : B.succs()) {
-      if (S >= Fn.numBlocks()) {
+    for (BlockId Succ : B.succs()) {
+      if (Succ >= NumBlocks) {
         fail("block " + B.label() + " has out-of-range successor");
         continue;
       }
-      ++EdgeCount[{B.id(), S}];
+      ++S.EdgeEnd[Succ];
     }
   }
+  uint32_t NumEdges = 0;
+  for (uint32_t &End : S.EdgeEnd) {
+    const uint32_t Size = End;
+    End = NumEdges; // Begins the bucket; the fill below moves it to its end.
+    NumEdges += Size;
+  }
+  S.EdgeFrom.resize(NumEdges);
+  for (const BasicBlock &B : Fn.blocks())
+    for (BlockId Succ : B.succs())
+      if (Succ < NumBlocks)
+        S.EdgeFrom[S.EdgeEnd[Succ]++] = B.id();
+  if (S.Count.size() < NumBlocks)
+    S.Count.resize(NumBlocks, 0);
+  std::vector<std::pair<BlockId, BlockId>> Missing;
+  uint32_t Begin = 0;
   for (const BasicBlock &B : Fn.blocks()) {
+    const uint32_t End = S.EdgeEnd[B.id()];
+    for (uint32_t E = Begin; E != End; ++E)
+      ++S.Count[S.EdgeFrom[E]];
     for (BlockId P : B.preds()) {
-      if (P >= Fn.numBlocks()) {
+      if (P >= NumBlocks) {
         fail("block " + B.label() + " has out-of-range predecessor");
         continue;
       }
-      if (--EdgeCount[{P, B.id()}] < 0)
+      if (S.Count[P] == 0)
         fail("pred list of " + B.label() + " names " + Fn.block(P).label() +
              " more often than the successor lists do");
+      else
+        --S.Count[P];
     }
+    // Whatever the pred list left uncounted is missing from it; zeroing
+    // here restores Count for the next block.
+    for (uint32_t E = Begin; E != End; ++E) {
+      const BlockId P = S.EdgeFrom[E];
+      if (S.Count[P] != 0) {
+        Missing.push_back({P, B.id()});
+        S.Count[P] = 0;
+      }
+    }
+    Begin = End;
   }
-  for (const auto &[Edge, Count] : EdgeCount)
-    if (Count > 0)
-      fail("edge " + Fn.block(Edge.first).label() + " -> " +
-           Fn.block(Edge.second).label() + " missing from pred list");
+  std::sort(Missing.begin(), Missing.end());
+  for (const auto &[From, To] : Missing)
+    fail("edge " + Fn.block(From).label() + " -> " + Fn.block(To).label() +
+         " missing from pred list");
 
   // Branch condition sanity.
   for (const BasicBlock &B : Fn.blocks()) {
@@ -146,23 +202,19 @@ std::vector<std::string> lcm::verifyFunction(const Function &Fn) {
   }
 
   // Reachability: every block reachable from entry, exit reachable from all.
-  std::vector<bool> FromEntry =
-      reach(Fn, Fn.entry(),
-            [&Fn](BlockId B) -> const std::vector<BlockId> & {
-              return Fn.block(B).succs();
-            });
+  reach(Fn, Fn.entry(), S, [&Fn](BlockId B) -> const std::vector<BlockId> & {
+    return Fn.block(B).succs();
+  });
   for (const BasicBlock &B : Fn.blocks())
-    if (!FromEntry[B.id()])
+    if (!S.Seen[B.id()])
       fail("block " + B.label() + " unreachable from entry");
 
-  if (Exits.size() == 1) {
-    std::vector<bool> ToExit =
-        reach(Fn, Exits[0],
-              [&Fn](BlockId B) -> const std::vector<BlockId> & {
-                return Fn.block(B).preds();
-              });
+  if (NumExits == 1) {
+    reach(Fn, Exit, S, [&Fn](BlockId B) -> const std::vector<BlockId> & {
+      return Fn.block(B).preds();
+    });
     for (const BasicBlock &B : Fn.blocks())
-      if (!ToExit[B.id()])
+      if (!S.Seen[B.id()])
         fail("block " + B.label() + " cannot reach the exit");
   }
 

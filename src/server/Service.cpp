@@ -50,9 +50,9 @@ InterpResult runSeeded(const Function &Fn, uint64_t Seed,
 /// re-execute the original program and the *response text* (reparsed, so a
 /// cached entry is validated as the bytes that will actually be served)
 /// under identically seeded oracles, aligning variables by name because
-/// reparsing renumbers VarIds around new PRE temporaries.  Returns false —
-/// and the request answers `validation_failed` — on any observable
-/// divergence.
+/// reparsing renumbers VarIds around new PRE temporaries, and memory address
+/// by address.  Returns false — and the request answers `validation_failed`
+/// — on any observable divergence.
 bool validateServedIr(const Function &Original, const Function &Served,
                       unsigned Runs, std::string &Why) {
   for (uint64_t Seed = 1; Seed <= Runs; ++Seed) {
@@ -83,6 +83,11 @@ bool validateServedIr(const Function &Original, const Function &Served,
               std::to_string(Seed);
         return false;
       }
+    }
+    if (std::optional<int64_t> Addr = firstMemoryDifference(Base, After)) {
+      Why = "memory at address " + std::to_string(*Addr) +
+            " diverged under seed " + std::to_string(Seed);
+      return false;
     }
   }
   return true;

@@ -6,9 +6,11 @@
 // Pins the hot-path contract behind docs/HOTPATH.md: once every reusable
 // buffer has reached its high-water capacity, a full request-shaped
 // iteration — parse, local CSE, lazy code motion, print — performs ZERO
-// heap allocations.  The binary links lcm_alloc_hook, so the counts are
-// exact process-wide `operator new` totals, not estimates.  Under
-// sanitizer builds the hook is inert and the tests skip.
+// heap allocations, and so does the batch pipeline's iteration, which
+// verifies after every pass and runs the copy-propagation/DCE cleanup.
+// The binary links lcm_alloc_hook, so the counts are exact process-wide
+// `operator new` totals, not estimates.  Under sanitizer builds the hook
+// is inert and the tests skip.
 //
 // A nonzero count here means someone re-introduced a per-request
 // allocation (a fresh vector, a by-value return, a string temporary) into
@@ -18,11 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/Cleanup.h"
 #include "cache/ContentHash.h"
 #include "core/Lcm.h"
 #include "core/LocalCse.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/Verifier.h"
 #include "support/AllocHook.h"
 #include "workload/Corpus.h"
 
@@ -138,6 +142,32 @@ TEST(AllocRegressionTest, FullRequestLoopIsAllocationFreeWhenWarm) {
         ASSERT_TRUE(Ir.Ok) << Ir.Error;
         runLocalCse(Ir.Fn);
         runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+        Out.clear();
+        printFunction(Ir.Fn, Out);
+        ASSERT_FALSE(Out.empty());
+      });
+  EXPECT_EQ(Allocs, 0u);
+}
+
+TEST(AllocRegressionTest, VerifiedCleanupLoopIsAllocationFreeWhenWarm) {
+  if (!alloccount::active())
+    GTEST_SKIP() << "alloc hook inert under sanitizers";
+  const std::vector<std::string> Texts = corpusTexts();
+  const IRLimits Limits;
+  ParserScratch Scratch;
+  ParseResult Ir;
+  PreRunResult R;
+  std::string Out;
+  const uint64_t Allocs =
+      steadyStateAllocations(Texts, [&](const std::string &Text) {
+        parseFunctionInto(Text, Limits, Scratch, Ir);
+        ASSERT_TRUE(Ir.Ok) << Ir.Error;
+        runLocalCse(Ir.Fn);
+        ASSERT_TRUE(verifyFunction(Ir.Fn).empty());
+        runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+        ASSERT_TRUE(verifyFunction(Ir.Fn).empty());
+        runCleanup(Ir.Fn, CleanupOptions{});
+        ASSERT_TRUE(verifyFunction(Ir.Fn).empty());
         Out.clear();
         printFunction(Ir.Fn, Out);
         ASSERT_FALSE(Out.empty());

@@ -422,6 +422,40 @@ TEST(ModuleRequests, ValidationRefusesAPoisonedMember) {
             "validation_failed");
 }
 
+TEST(ModuleRequests, ValidationRefusesPoisonedMemory) {
+  // A corrupted entry that stores another value leaves every variable as
+  // it was: validation must compare final memory too, inline and on a
+  // validator pool.
+  ServiceConfig Config;
+  Config.Cache =
+      std::make_shared<cache::ResultCache>(cache::ResultCacheConfig());
+  std::string Error;
+  ASSERT_TRUE(Config.Cache->open(Error)) << Error;
+  Service S(Config);
+  Request R;
+  R.Ir = "func f\nblock b0\n  p = a + 1\n  q = b + 2\n  store p q\n  exit\n";
+  Value First = S.handle(payloadFor(R));
+  ASSERT_EQ(statusOf(First), "ok") << First.dump();
+  cache::Digest Key;
+  ASSERT_TRUE(cache::Digest::fromHex(strField(First, "cache_key"), Key));
+  cache::CacheEntry Poisoned;
+  Poisoned.Ir =
+      "func f\nblock b0\n  p = a + 1\n  q = b + 2\n  store p b\n  exit\n";
+  Config.Cache->put(Key, Poisoned);
+
+  R.Validate = true;
+  Value Inline = S.handle(payloadFor(R));
+  EXPECT_EQ(statusOf(Inline), "validation_failed") << Inline.dump();
+  EXPECT_NE(strField(Inline, "error").find("memory at address"),
+            std::string::npos)
+      << Inline.dump();
+  Service::PendingValidation Pending;
+  EXPECT_TRUE(S.handle(payloadFor(R), Pending).isNull());
+  ASSERT_TRUE(Pending.Active);
+  EXPECT_EQ(statusOf(S.finishValidation(std::move(Pending))),
+            "validation_failed");
+}
+
 TEST(RetainedTier, EachAnswerKeyIsWrittenOnce) {
   const std::vector<CorpusEntry> Corpus = makeDefaultCorpus();
   Service S = makeIncrementalService();

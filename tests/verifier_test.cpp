@@ -118,4 +118,39 @@ TEST(Verifier, AcceptsParallelEdges) {
   EXPECT_TRUE(isValidFunction(Fn));
 }
 
+TEST(Verifier, AcceptsAWideJoinRightAfterASmallerFunction) {
+  // The edge check reuses per-block counters across calls; verifying a
+  // smaller function first checks that they come back zeroed.
+  EXPECT_TRUE(isValidFunction(makeDiamondExample()));
+
+  // entry fans out to 20 arms; every third arm reaches the join twice, so
+  // the join has 27 predecessors, 7 of them parallel edges.
+  Function Fn("wide");
+  BlockId Entry = Fn.addBlock("entry");
+  std::vector<BlockId> Arms;
+  for (int I = 0; I != 20; ++I)
+    Arms.push_back(Fn.addBlock("arm" + std::to_string(I)));
+  BlockId Join = Fn.addBlock("join");
+  BlockId Exit = Fn.addBlock("exit");
+  for (int I = 0; I != 20; ++I) {
+    Fn.addEdge(Entry, Arms[I]);
+    Fn.addEdge(Arms[I], Join);
+    if (I % 3 == 0)
+      Fn.addEdge(Arms[I], Join);
+  }
+  Fn.addEdge(Join, Exit);
+  ASSERT_EQ(Fn.block(Join).preds().size(), 27u);
+  EXPECT_TRUE(verifyFunction(Fn).empty());
+
+  // And back down to a smaller function, valid and invalid.
+  EXPECT_TRUE(isValidFunction(makeDiamondExample()));
+  Function Broken("f");
+  BlockId B0 = Broken.addBlock();
+  BlockId B1 = Broken.addBlock();
+  Broken.addEdge(B0, B1);
+  Broken.addEdge(B1, B0);
+  EXPECT_TRUE(anyErrorContains(verifyFunction(Broken),
+                               "entry block has predecessors"));
+}
+
 } // namespace

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <string>
 
+#include "baseline/Cleanup.h"
 #include "baseline/GlobalCse.h"
 #include "baseline/MorelRenvoise.h"
 #include "core/Lcm.h"
@@ -51,6 +52,7 @@
 #include "gvn/Gvn.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/Verifier.h"
 #include "metrics/Compare.h"
 #include "metrics/Gate.h"
 #include "server/IncrementalBench.h"
@@ -99,10 +101,11 @@ Value strategyRecord(const std::string &Name, const Function &Original,
 
 /// The hot-path allocation contract (docs/HOTPATH.md), measured the same
 /// way tests/alloc_regression_test.cpp pins it: after a warm-up, a full
-/// parse -> local CSE -> LCM -> print iteration over the corpus performs
-/// zero heap allocations.  Exact-gated at 0.  Under sanitizer builds the
-/// counting hook is inert (support/AllocHook.h), so the metric is
-/// vacuously zero there; the plain CI build carries the real contract.
+/// parse -> local CSE -> LCM -> cleanup -> print iteration over the corpus,
+/// verified after every pass, performs zero heap allocations (a failed
+/// verify's error strings would count).  Exact-gated at 0.  Under sanitizer
+/// builds the counting hook is inert (support/AllocHook.h), so the metric
+/// is vacuously zero there; the plain CI build carries the real contract.
 uint64_t measureSteadyAllocations() {
   std::vector<std::string> Texts;
   for (const CorpusEntry &Entry : makeDefaultCorpus()) {
@@ -117,7 +120,11 @@ uint64_t measureSteadyAllocations() {
   auto Iteration = [&](const std::string &Text) {
     parseFunctionInto(Text, Limits, Scratch, Ir);
     runLocalCse(Ir.Fn);
+    verifyFunction(Ir.Fn);
     runPreInto(Ir.Fn, PreStrategy::Lazy, SolverStrategy::Sparse, R);
+    verifyFunction(Ir.Fn);
+    runCleanup(Ir.Fn, CleanupOptions{});
+    verifyFunction(Ir.Fn);
     Out.clear();
     printFunction(Ir.Fn, Out);
   };
