@@ -43,8 +43,9 @@
 //                 [--report=out.json] [--cache-bytes=N] [--cache-dir=PATH]
 //
 // generates N functions (half structured, half random CFGs), optimizes
-// them on M worker threads (0 = all hardware threads), and prints a
-// throughput summary (--report captures it plus the batch's counters).
+// them on M threads, this one included (0 = all hardware threads), and
+// prints a throughput summary (--report captures it plus the batch's
+// per-pass sums and counters).
 // --cache-bytes / --cache-dir route the batch through the content-addressed
 // result cache (docs/CACHE.md): repeat functions — and, with --cache-dir,
 // repeat *runs* — skip the pipeline.

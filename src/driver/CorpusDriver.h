@@ -7,11 +7,28 @@
 ///
 /// \file
 /// The batch front half of a production pipeline: optimize N independent
-/// functions on M worker threads.  Functions are claimed from a shared
-/// atomic cursor (dynamic load balancing — CFG sizes vary wildly across a
-/// corpus), each worker runs the verified pass pipeline in place, and
-/// per-function outcomes land in pre-sized slots so workers never contend
+/// functions on M threads.  Functions are claimed from a shared atomic
+/// cursor (dynamic load balancing — CFG sizes vary wildly across a
+/// corpus), each thread runs the verified pass pipeline in place, and
+/// per-function outcomes land in pre-sized slots so threads never contend
 /// on the result container.
+///
+/// Threading model:
+///  - `Threads` counts the caller: `Threads = M` runs the claim loop on the
+///    calling thread plus M-1 helper threads, and `Threads = 1` runs the
+///    same loop on the caller alone.
+///  - Helpers belong to one process-wide pool, built by the first batch
+///    that needs one and grown to the largest helper count any batch asks
+///    for.  They sleep on a condition variable between batches and are
+///    never joined, so each keeps its thread_local analysis storage (the
+///    solver arena, the LCM rows, the verifier and cleanup scratch; see
+///    docs/HOTPATH.md) at its high-water size for the life of the process.
+///  - Concurrent callers are safe: batches that need helpers take the pool
+///    one at a time and queue for it; a batch with `Threads = 1` never
+///    waits.  A pass must not itself call optimizeCorpus with more than
+///    one thread.
+///  - fork() without exec after a batch with helpers is unsupported: the
+///    child has no helpers but inherits a pool that believes it does.
 ///
 /// Functions never share state (each owns its blocks, variable table, and
 /// expression pool), the sparse dataflow engine keeps one FactArena per
@@ -36,8 +53,8 @@
 namespace lcm {
 
 struct CorpusDriverOptions {
-  /// Worker threads; 0 means one per hardware thread.  1 runs inline on
-  /// the calling thread (no pool).
+  /// Threads running the batch, the caller included; 0 means one per
+  /// hardware thread.  1 runs on the calling thread alone.
   unsigned Threads = 1;
   /// Optional content-addressed result cache (docs/CACHE.md).  A corpus
   /// member whose canonical text and pipeline match a cached entry is
@@ -67,6 +84,11 @@ struct CorpusDriverResult {
   /// Functions answered from the cache (0 without a cache).
   size_t CacheHits = 0;
   unsigned ThreadsUsed = 1;
+  /// Per pipeline step, in pipeline order: its name, and its changes, word
+  /// ops and seconds summed over the functions the pipeline ran on (cache
+  /// hits run none).  Seconds are thread time, so with several threads
+  /// they may exceed the batch's wall clock.  StatsDelta stays empty.
+  std::vector<Pipeline::StepResult> Passes;
   /// Wall-clock of the whole batch.
   double Seconds = 0.0;
 
@@ -76,7 +98,9 @@ struct CorpusDriverResult {
 };
 
 /// Runs \p P over every function in \p Fns (in place) on
-/// \p Opts.Threads workers.
+/// \p Opts.Threads threads, the caller included.  If a pass throws, no
+/// thread claims another function, and the first exception is rethrown
+/// here once every thread has left the batch.
 CorpusDriverResult optimizeCorpus(std::vector<Function> &Fns,
                                   const Pipeline &P,
                                   const CorpusDriverOptions &Opts = {});

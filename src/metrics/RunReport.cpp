@@ -239,6 +239,14 @@ RunReport lcm::makeCorpusReport(const CorpusDriverResult &R, std::string Tool,
   Report.Ok = R.NumFailed == 0;
   Report.TotalSeconds = R.Seconds;
   Report.Counters = std::move(StatsDelta);
+  for (const Pipeline::StepResult &S : R.Passes) {
+    PassRecord Record;
+    Record.Name = S.Name;
+    Record.Seconds = S.Seconds;
+    Record.Changes = S.Changes;
+    Record.WordOps = S.WordOps;
+    Report.Passes.push_back(std::move(Record));
+  }
   Report.HasCorpus = true;
   Report.Corpus.NumFunctions = R.PerFunction.size();
   Report.Corpus.Threads = R.ThreadsUsed;

@@ -115,7 +115,8 @@ RunReport collectRunReport(const Pipeline &P, Function &Fn, std::string Tool,
 
 /// Assembles the corpus-mode report from a finished batch.  \p StatsDelta
 /// is the Stats-registry delta over the batch (snapshot around the
-/// optimizeCorpus call).
+/// optimizeCorpus call).  `passes` lists the batch's per-step sums in
+/// pipeline order, without per-pass `counters`.
 RunReport makeCorpusReport(const CorpusDriverResult &R, std::string Tool,
                            std::string PipelineSpec,
                            std::map<std::string, uint64_t> StatsDelta);

@@ -12,6 +12,10 @@
 // `operator new` totals, not estimates.  Under sanitizer builds the hook
 // is inert and the tests skip.
 //
+// The batch contract spans optimizeCorpus calls: a warm 2-thread batch
+// allocates no more than the same batch on one thread, because the helper
+// thread, and its per-thread storage, outlive each batch.
+//
 // A nonzero count here means someone re-introduced a per-request
 // allocation (a fresh vector, a by-value return, a string temporary) into
 // the serving path; find it before relaxing the expectation.
@@ -20,15 +24,19 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+
 #include "baseline/Cleanup.h"
 #include "cache/ContentHash.h"
 #include "core/Lcm.h"
 #include "core/LocalCse.h"
+#include "driver/CorpusDriver.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "support/AllocHook.h"
 #include "workload/Corpus.h"
+#include "workload/RandomCfg.h"
 
 using namespace lcm;
 
@@ -173,4 +181,46 @@ TEST(AllocRegressionTest, VerifiedCleanupLoopIsAllocationFreeWhenWarm) {
         ASSERT_FALSE(Out.empty());
       });
   EXPECT_EQ(Allocs, 0u);
+}
+
+TEST(AllocRegressionTest, WarmHelperBatchAllocatesNoMoreThanOneThread) {
+  if (!alloccount::active())
+    GTEST_SKIP() << "alloc hook inert under sanitizers";
+  // Allocations a 2-thread batch may make beyond the 1-thread batch: the
+  // pool posts a batch without allocating, and a warm helper's claim loop
+  // allocates only what the pipeline itself does.
+  constexpr uint64_t PoolAllocations = 0;
+
+  RandomCfgOptions Opts;
+  Opts.Seed = 7;
+  Opts.NumBlocks = 128;
+  const Function Proto = generateRandomCfg(Opts);
+  PipelineParse P = parsePipeline("lcse,lcm,cleanup");
+  ASSERT_TRUE(P.Ok) << P.Error;
+
+  // Warm both threads without depending on the scheduler: the extra pass
+  // holds each function at a two-party barrier, so the caller and the
+  // helper take exactly one function each.
+  std::barrier Meet(2);
+  Pipeline Warm = P.P;
+  Warm.add("meet", [&](Function &) {
+    Meet.arrive_and_wait();
+    return uint64_t(0);
+  });
+  std::vector<Function> Two(2, Proto);
+  ASSERT_EQ(optimizeCorpus(Two, Warm, {.Threads = 2}).NumFailed, 0u);
+
+  auto BatchAllocations = [&](unsigned Threads) {
+    std::vector<Function> Fns(8, Proto);
+    const uint64_t Before = alloccount::allocations();
+    CorpusDriverResult R = optimizeCorpus(Fns, P.P, {.Threads = Threads});
+    const uint64_t Allocs = alloccount::allocations() - Before;
+    EXPECT_EQ(R.NumFailed, 0u);
+    EXPECT_EQ(R.ThreadsUsed, Threads);
+    return Allocs;
+  };
+  const uint64_t OneThread = BatchAllocations(1);
+  for (int Repeat = 0; Repeat != 3; ++Repeat)
+    EXPECT_LE(BatchAllocations(2), OneThread + PoolAllocations)
+        << "repeat " << Repeat;
 }

@@ -148,4 +148,26 @@ TEST(RunReport, CorpusModeRoundTrips) {
   EXPECT_EQ(Back.toJsonText(), R.toJsonText());
 }
 
+/// Corpus-mode reports list the pipeline's passes in order, each summed
+/// over the batch's functions, without per-pass counters.
+TEST(RunReport, CorpusModeListsPipelinePasses) {
+  std::vector<Function> Batch;
+  for (int I = 0; I != 6; ++I)
+    Batch.push_back(makeMotivatingExample());
+  PipelineParse P = parsePipeline("lcse,lcm");
+  ASSERT_TRUE(P) << P.Error;
+  CorpusDriverResult CR = optimizeCorpus(Batch, P.P, {.Threads = 2});
+
+  RunReport R = makeCorpusReport(CR, "run_report_test", "lcse,lcm", {});
+  ASSERT_EQ(R.Passes.size(), 2u);
+  EXPECT_EQ(R.Passes[0].Name, "lcse");
+  EXPECT_EQ(R.Passes[1].Name, "lcm");
+  EXPECT_GT(R.Passes[1].Changes, 0u) << "LCM must move a + b";
+  EXPECT_GT(R.Passes[1].WordOps, 0u);
+  EXPECT_EQ(R.Passes[0].Changes + R.Passes[1].Changes,
+            R.Corpus.TotalChanges);
+  for (const PassRecord &Pass : R.Passes)
+    EXPECT_TRUE(Pass.Counters.empty()) << Pass.Name;
+}
+
 } // namespace

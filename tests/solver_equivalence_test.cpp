@@ -3,7 +3,9 @@
 // Randomized equivalence sweep: the round-robin, FIFO-worklist, and
 // sparse-arena solvers must produce bit-identical fixpoints on every
 // direction/meet combination over both generator families, and the
-// parallel corpus driver must match the serial one function-by-function.
+// parallel corpus driver must match the serial one function-by-function,
+// keep its helper threads across batches, and stay correct when several
+// callers share those helpers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +18,12 @@
 #include "workload/StructuredGen.h"
 
 #include <gtest/gtest.h>
+
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <unistd.h>
 
 using namespace lcm;
 
@@ -154,6 +162,85 @@ TEST(CorpusDriver, ParallelMatchesSerialFunctionByFunction) {
     EXPECT_EQ(printFunction(Serial[I]), printFunction(Parallel[I]))
         << "function " << I;
   }
+}
+
+/// Helpers outlive their batch: ten 2-thread batches run on the caller and
+/// one pool helper, not on a fresh pair of threads each.
+TEST(CorpusDriver, HelpersPersistAcrossBatches) {
+  std::mutex Mu;
+  std::set<pid_t> Tids;
+  PipelineParse P = parsePipeline("lcse,lcm");
+  ASSERT_TRUE(P.Ok);
+  P.P.add("record-tid", [&](Function &) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Tids.insert(::gettid());
+    return uint64_t(0);
+  });
+  for (int Batch = 0; Batch != 10; ++Batch) {
+    std::vector<Function> Fns;
+    for (const CorpusEntry &E : makeGeneratedCorpus(4, 4))
+      Fns.push_back(E.Make());
+    CorpusDriverResult R = optimizeCorpus(Fns, P.P, {.Threads = 2});
+    ASSERT_EQ(R.ThreadsUsed, 2u);
+    ASSERT_EQ(R.NumFailed, 0u);
+  }
+  EXPECT_GE(Tids.size(), 1u);
+  EXPECT_LE(Tids.size(), 2u);
+}
+
+/// Two callers share the helper pool at once; each must still get the
+/// serial run's programs and change counts, function for function.
+TEST(CorpusDriver, ConcurrentCallersMatchSerial) {
+  std::vector<Function> Pristine;
+  for (const CorpusEntry &E : makeGeneratedCorpus(6, 6))
+    Pristine.push_back(E.Make());
+  PipelineParse P = parsePipeline("lcse,lcm,cleanup");
+  ASSERT_TRUE(P.Ok) << P.Error;
+
+  std::vector<Function> Serial = Pristine;
+  CorpusDriverResult SR = optimizeCorpus(Serial, P.P, {.Threads = 1});
+  ASSERT_EQ(SR.NumFailed, 0u);
+  std::vector<std::string> Expected;
+  for (const Function &Fn : Serial)
+    Expected.push_back(printFunction(Fn));
+
+  auto Caller = [&](unsigned Threads, unsigned &Mismatches) {
+    for (int Batch = 0; Batch != 5; ++Batch) {
+      std::vector<Function> Fns = Pristine;
+      CorpusDriverResult R = optimizeCorpus(Fns, P.P, {.Threads = Threads});
+      Mismatches += R.NumFailed != 0 || R.ThreadsUsed != Threads;
+      for (size_t I = 0; I != Fns.size(); ++I)
+        Mismatches += R.PerFunction[I].Changes != SR.PerFunction[I].Changes ||
+                      printFunction(Fns[I]) != Expected[I];
+    }
+  };
+  unsigned MismatchesA = 0, MismatchesB = 0;
+  std::thread A(Caller, 2u, std::ref(MismatchesA));
+  std::thread B(Caller, 3u, std::ref(MismatchesB));
+  A.join();
+  B.join();
+  EXPECT_EQ(MismatchesA, 0u);
+  EXPECT_EQ(MismatchesB, 0u);
+}
+
+/// A pass that throws on a helper reaches the caller, and the pool still
+/// serves the next batch.
+TEST(CorpusDriver, PassExceptionReachesCallerAndPoolSurvives) {
+  PipelineParse P = parsePipeline("lcse");
+  ASSERT_TRUE(P.Ok);
+  P.P.add("throw", [](Function &) -> uint64_t {
+    throw std::runtime_error("pass failed");
+  });
+  std::vector<Function> Fns;
+  for (const CorpusEntry &E : makeGeneratedCorpus(4, 4))
+    Fns.push_back(E.Make());
+  EXPECT_THROW(optimizeCorpus(Fns, P.P, {.Threads = 2}), std::runtime_error);
+
+  PipelineParse Ok = parsePipeline("lcse,lcm");
+  ASSERT_TRUE(Ok.Ok);
+  CorpusDriverResult R = optimizeCorpus(Fns, Ok.P, {.Threads = 2});
+  EXPECT_EQ(R.NumFailed, 0u);
+  EXPECT_EQ(R.ThreadsUsed, 2u);
 }
 
 TEST(CorpusDriver, ZeroThreadsMeansHardwareConcurrency) {
